@@ -7,8 +7,7 @@ from .bounds import (CornerDecayReport, DemkoParams, DichotomyReport,
                      demko_params_general, demko_params_pd, dichotomy,
                      t11_singular_floor)
 from .chains import (BlockChain, ModelSpec, anderson_strip, banded_random,
-                     chain_to_spec, hatano_nelson, random_tridiag,
-                     reassemble_banded)
+                     chain_to_spec, hatano_nelson, random_tridiag)
 from .duality import (DualityReport, SpectralCurve, check_duality,
                       check_open_duality, check_symmetric_duality,
                       check_transfer_routes, trace_spectral_curve)
@@ -18,10 +17,10 @@ from .exponents import (ContourTooCloseError, ExponentSpectrum,
                         exponent_csv, exponent_spectrum,
                         hadamard_fisher_bound, jensen_identity_check,
                         positive_exponent_sum)
-from .hamiltonian import (BoundaryParam, assemble_balanced, assemble_bloch,
-                          assemble_open, logdet_ring_shift, logdet_shift)
+from .hamiltonian import (assemble_balanced, assemble_bloch, assemble_open,
+                          logdet_shift)
 from .linalg import (LogDet, SingularMatrixError, condition_number,
-                     eigenvalues, lu_logdet, match_spectra,
+                     eigenvalues, logdet_blocks, lu_logdet, match_spectra,
                      singular_values, wrap_phase)
 from .resolvent import (CornerSingularError, ResolventCorners,
                         ResolventSingularError, corner_blocks,
@@ -33,9 +32,9 @@ from .symmetry import (NotHermitianChainError, PairingReport,
                        sigma_form)
 from .transfer import (LogEigenvalues, ProductOverflowError, TransferMatrix,
                        eigenvalues_stabilized, inverse_via_inversion,
-                       one_step, polynomial_coefficients, product,
+                       polynomial_coefficients, product,
                        stabilized_log_singular_values,
-                       stabilized_singular_products)
+                       stabilized_singular_products, steps)
 
 __version__ = "0.1.0"
 

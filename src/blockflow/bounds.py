@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import BlockChain
+from .hamiltonian import assemble_open
 from .linalg import as_matrix, singular_values
-from .resolvent import corner_blocks
+from .resolvent import corner_blocks, transfer_from_resolvent
 from .transfer import stabilized_log_singular_values
 
 
@@ -164,8 +165,6 @@ def check_corner_decay(chain: BlockChain, energy: complex) -> CornerDecayReport:
     (1/n) log max|g corner entry|, to be held against
     bound_rate = (1/2) log q.
     """
-    from .hamiltonian import assemble_open
-
     n, m = chain.n, chain.m
     h = assemble_open(chain)
     shifted = h - complex(energy) * np.eye(n * m)
@@ -236,8 +235,6 @@ class DichotomyReport:
 
 def dichotomy(chain: BlockChain, energy: complex) -> DichotomyReport:
     """Count singular values of T(E) against q^{-n/2}/K and K q^{n/2}."""
-    from .hamiltonian import assemble_open
-
     n, m = chain.n, chain.m
     h = assemble_open(chain)
     shifted = h - complex(energy) * np.eye(n * m)
@@ -275,8 +272,6 @@ def t11_singular_floor(chain: BlockChain, energy: complex) -> dict:
     T_11 is taken from the resolvent route, theta from its dense SVD.
     Returns the measured values in log form along with the floor.
     """
-    from .resolvent import transfer_from_resolvent
-
     report = dichotomy(chain, energy)
     t = transfer_from_resolvent(chain, energy)
     theta = singular_values(t.t11)

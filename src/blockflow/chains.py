@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import require_invertible
+from .linalg import raise_first_singular
 
 #: hopping blocks with |det| at or below this are resampled by generators
 EPS_INV = 1e-3
@@ -54,9 +54,11 @@ class BlockChain:
             raise ValueError("a chain needs at least 2 sites")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
             raise ValueError("chain blocks must be finite")
-        for k in range(a.shape[0]):
-            require_invertible(b[k], name=f"B_{k + 1}")
-            require_invertible(c[k], name=f"C_{k + 1}")
+        # singular values of B_1, C_1, B_2, C_2, ... in that order
+        svals = np.stack([np.linalg.svd(b, compute_uv=False),
+                          np.linalg.svd(c, compute_uv=False)], axis=1)
+        raise_first_singular(svals.reshape(-1, a.shape[1]),
+                             [f"{h}_{k + 1}" for k in range(a.shape[0]) for h in "BC"])
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -161,18 +163,19 @@ def banded_random(n_sites: int, b: int, low: float, high: float, seed: int) -> B
     if n < 2:
         raise ValueError("need at least 2 blocks")
     rng = np.random.default_rng(seed)
+    idx = np.arange(n_sites)
+    band = np.abs(idx[:, None] - idx[None, :]) <= b
+    count = int(band.sum())
+    k = np.arange(n)
     while True:
         full = np.zeros((n_sites, n_sites))
-        idx = np.arange(n_sites)
-        band = np.abs(idx[:, None] - idx[None, :]) <= b
-        full[band] = rng.uniform(low, high, size=int(band.sum()))
+        full[band] = rng.uniform(low, high, size=count)
         blocks = full.reshape(n, b, n, b).swapaxes(1, 2)
-        hop_up = blocks[np.arange(n - 1), np.arange(1, n)]
-        hop_dn = blocks[np.arange(1, n), np.arange(n - 1)]
-        dets = [np.linalg.det(h) for h in hop_up] + [np.linalg.det(h) for h in hop_dn]
-        if min(abs(d) for d in dets) > EPS_INV:
+        hop_up = blocks[k[:-1], k[1:]]
+        hop_dn = blocks[k[1:], k[:-1]]
+        if np.abs(np.linalg.det(np.concatenate([hop_up, hop_dn]))).min() > EPS_INV:
             break
-    a = blocks[np.arange(n), np.arange(n)].astype(complex)
+    a = blocks[k, k].astype(complex)
     bk = np.empty((n, b, b), dtype=complex)
     ck = np.empty((n, b, b), dtype=complex)
     bk[: n - 1] = hop_up
@@ -186,18 +189,6 @@ def banded_random(n_sites: int, b: int, low: float, high: float, seed: int) -> B
     while abs(np.linalg.det(ck[0])) <= EPS_INV:
         ck[0] = np.triu(rng.uniform(low, high, size=(b, b)))
     return BlockChain(a=a, b=bk, c=ck)
-
-
-def reassemble_banded(chain: BlockChain) -> np.ndarray:
-    """Rebuild the open (corner-free) full matrix from a chain's blocks."""
-    n, m = chain.n, chain.m
-    full = np.zeros((n * m, n * m), dtype=complex)
-    for k in range(n):
-        full[k * m:(k + 1) * m, k * m:(k + 1) * m] = chain.a[k]
-    for k in range(n - 1):
-        full[k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m] = chain.b[k]
-        full[(k + 1) * m:(k + 2) * m, k * m:(k + 1) * m] = chain.c[k + 1]
-    return full
 
 
 _RANDOM_KINDS = ("hatano-nelson", "random-tridiag", "anderson-strip", "banded-random")

@@ -20,6 +20,8 @@ input (bad config, singular blocks, contour through an exponent, ...).
 from __future__ import annotations
 
 import argparse
+import cmath
+import io
 import json
 import math
 import sys
@@ -28,12 +30,10 @@ import numpy as np
 
 from .bounds import check_corner_decay, dichotomy
 from .chains import BlockChain, ModelSpec
-from .duality import (SpectralCurve, check_duality, check_open_duality,
+from .duality import (TOL_LOG, SpectralCurve, check_duality, check_open_duality,
                       check_symmetric_duality, check_transfer_routes,
                       trace_spectral_curve)
-from .exponents import (ContourTooCloseError, exponent_csv, exponent_spectrum,
-                        jensen_identity_check)
-from .linalg import SingularMatrixError
+from .exponents import exponent_csv, exponent_spectrum, jensen_identity_check
 from .resolvent import CornerSingularError, ResolventSingularError
 from .symmetry import check_symplectic, check_unit_circle_exclusion, detect_pairings
 from .transfer import ProductOverflowError
@@ -49,16 +49,24 @@ class InputError(ValueError):
     """Bad command line or config input (exit code 2)."""
 
 
-def _parse_complex(text: str) -> complex:
+def _require_finite(value, what: str):
+    """The value itself if it is finite, else an InputError naming ``what``."""
+    if not cmath.isfinite(value):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _parse_complex(text: str, flag: str) -> complex:
     parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]))
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise InputError(f"expected RE or RE,IM, got {text!r}")
+    value = None
+    if len(parts) in (1, 2):
+        try:
+            value = complex(*(float(part) for part in parts))
+        except ValueError:
+            pass
+    if value is None:
+        raise InputError(f"{flag}: expected RE or RE,IM, got {text!r}")
+    return _require_finite(value, flag)
 
 
 def _load_config(path: str | None) -> dict:
@@ -82,7 +90,7 @@ def _build_chain(config: dict) -> tuple[BlockChain, dict]:
     try:
         spec = ModelSpec.from_dict(config["model"])
         chain = spec.build()
-    except (ValueError, SingularMatrixError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad model: {exc}") from exc
     summary = spec.to_dict()
     if spec.kind == "explicit":
@@ -91,16 +99,18 @@ def _build_chain(config: dict) -> tuple[BlockChain, dict]:
 
 
 def _resolve(args, config: dict, key: str, flag_value, convert, default=None):
-    """Flag beats config beats default."""
+    """Flag beats config beats default; config numbers must be finite."""
     if flag_value is not None:
         return flag_value
-    if key in config:
-        raw = config[key]
-        try:
-            return convert(raw)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"config field {key!r}: {exc}") from exc
-    return default
+    if key not in config:
+        return default
+    try:
+        value = convert(config[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"config field {key!r}: {exc}") from exc
+    if isinstance(value, (float, complex)):
+        _require_finite(value, f"config field {key!r}")
+    return value
 
 
 def _config_complex(raw) -> complex:
@@ -144,21 +154,15 @@ def _jsonable(obj):
     return obj
 
 
-def _emit_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
+def _emit(report: dict | str, path: str | None) -> None:
+    """Write a report to ``path`` or stdout; a dict goes out as sorted JSON."""
+    if isinstance(report, dict):
+        report = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(report)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.write(report)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +172,8 @@ def _cmd_verify(args) -> int:
     config = _load_config(args.config)
     chain, model_summary = _build_chain(config)
     energy = _require_energy(args, config)
-    z = _resolve(args, config, "z", None if args.z is None else _parse_complex(args.z),
+    z = _resolve(args, config, "z",
+                 None if args.z is None else _parse_complex(args.z, "--z"),
                  _config_complex)
     if z is None:
         xi = _resolve(args, config, "xi", args.xi, float, DEFAULT_XI)
@@ -180,8 +185,6 @@ def _cmd_verify(args) -> int:
         z = complex(math.exp(arg) * math.cos(phi), math.exp(arg) * math.sin(phi))
     if z == 0:
         raise InputError("z must be nonzero")
-    from .duality import TOL_LOG
-
     tol_log = TOL_LOG if args.tol_log is None else args.tol_log
     checks = []
     notices = []
@@ -194,9 +197,7 @@ def _cmd_verify(args) -> int:
 
     try:
         record(check_transfer_routes(chain, energy))
-    except (ResolventSingularError, CornerSingularError) as exc:
-        notices.append(f"transfer-routes skipped: {exc}")
-    except ProductOverflowError as exc:
+    except (ResolventSingularError, CornerSingularError, ProductOverflowError) as exc:
         notices.append(f"transfer-routes skipped: {exc}")
 
     try:
@@ -247,7 +248,7 @@ def _cmd_verify(args) -> int:
         "notices": notices,
         "passed": passed,
     }
-    _emit_json(doc, args.json)
+    _emit(doc, args.json)
     return 0 if passed else 1
 
 
@@ -317,24 +318,18 @@ def _cmd_curve(args) -> int:
     if xi is None:
         raise InputError("curve requires --xi (or config 'xi')")
     phi_steps = _resolve(args, config, "phi_steps", args.phi_steps, int, 64)
-    try:
-        curve = trace_spectral_curve(chain, xi, phi_steps=phi_steps)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-    import io
-
+    curve = trace_spectral_curve(chain, xi, phi_steps=phi_steps)
     buf = io.StringIO()
     curve.to_csv(buf)
-    _write_text(buf.getvalue(), args.csv)
+    _emit(buf.getvalue(), args.csv)
     if args.svg is not None:
-        _write_text(_curve_svg(curve), args.svg)
+        _emit(_curve_svg(curve), args.svg)
     if args.json is not None:
         doc = {"schema_version": SCHEMA_VERSION, "command": "curve",
                "model": model_summary, "xi": xi, "phi_steps": phi_steps,
                "n_loops": curve.n_loops, "ambiguous": curve.ambiguous,
                "notes": list(curve.notes)}
-        _emit_json(doc, args.json)
+        _emit(doc, args.json)
     return 0
 
 
@@ -345,14 +340,12 @@ def _cmd_exponents(args) -> int:
     config = _load_config(args.config)
     chain, model_summary = _build_chain(config)
     energy = _require_energy(args, config)
-    method = _resolve(args, config, "method", args.method, str, "auto")
+    method = _resolve(args, config, "method", args.method, str, "cyclic")
     spectrum = exponent_spectrum(chain, energy, method=method)
     if args.csv is not None:
-        import io
-
         buf = io.StringIO()
         exponent_csv(spectrum, buf)
-        _write_text(buf.getvalue(), args.csv)
+        _emit(buf.getvalue(), args.csv)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "exponents",
@@ -369,7 +362,7 @@ def _cmd_exponents(args) -> int:
         report = jensen_identity_check(chain, energy, args.jensen_xi,
                                        quad_points=quad)
         doc["jensen"] = report.to_dict()
-    _emit_json(doc, args.json)
+    _emit(doc, args.json)
     return 0
 
 
@@ -393,7 +386,7 @@ def _cmd_bounds(args) -> int:
         "dichotomy": {**dich.to_dict(), "split_holds": counts_ok},
         "passed": bool(corner.passed),
     }
-    _emit_json(doc, args.json)
+    _emit(doc, args.json)
     return 0 if corner.passed else 1
 
 
@@ -436,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exponents", help="characteristic exponents at one energy")
     _add_common(p)
     p.add_argument("--energy", metavar="RE[,IM]")
-    p.add_argument("--method", choices=("auto", "cyclic", "direct"))
+    p.add_argument("--method", choices=("cyclic", "direct"))
     p.add_argument("--csv", metavar="FILE", help="write the spectrum as CSV")
     p.add_argument("--jensen-xi", type=float, dest="jensen_xi",
                    help="also evaluate the contour identity at this xi")
@@ -456,13 +449,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "energy", None) is not None:
-            args.energy = _parse_complex(args.energy)
+            args.energy = _parse_complex(args.energy, "--energy")
+        for flag in ("xi", "phi", "jensen_xi", "tol_log"):
+            if getattr(args, flag, None) is not None:
+                _require_finite(getattr(args, flag), "--" + flag.replace("_", "-"))
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SingularMatrixError, ResolventSingularError, CornerSingularError,
-            ContourTooCloseError, ProductOverflowError, ValueError) as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # InputError, singular blocks or corners, contours through an
+        # exponent, product overflow and values beyond double range
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,9 @@ import numpy as np
 from .chains import BlockChain
 from .hamiltonian import (assemble_balanced, assemble_bloch, assemble_open,
                           log_minus_z, logdet_shift)
-from .linalg import LogDet, lu_logdet, match_tolerance, wrap_phase
+from .linalg import (LogDet, logdet_blocks, lu_logdet, match_spectra,
+                     match_tolerance, wrap_phase)
+from .resolvent import transfer_from_resolvent
 from .transfer import (ProductOverflowError, eigenvalues_stabilized,
                        inverse_via_inversion, product)
 
@@ -94,20 +96,6 @@ def _compare(name, energy, z, lhs, rhs, tol_log, tol_phase, note="") -> DualityR
                          note=note)
 
 
-def _logdet_b(chain: BlockChain) -> LogDet:
-    out = LogDet(0.0, 0.0)
-    for k in range(chain.n):
-        out = out * lu_logdet(chain.b[k])
-    return out
-
-
-def _logdet_c(chain: BlockChain) -> LogDet:
-    out = LogDet(0.0, 0.0)
-    for k in range(chain.n):
-        out = out * lu_logdet(chain.c[k])
-    return out
-
-
 def _require_ring(chain: BlockChain, who: str) -> None:
     if chain.n < 3:
         raise ValueError(
@@ -162,7 +150,7 @@ def check_duality(chain: BlockChain, energy: complex, z: complex,
     if tol_phase is None:
         tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
     lhs_t, route = _logdet_zi_minus_t(chain, energy, z)
-    lhs = lhs_t * _logdet_b(chain)
+    lhs = lhs_t * logdet_blocks(chain.b)
     if abs(math.log(abs(z))) < 230.0:
         ring = logdet_shift(assemble_bloch(chain, z), energy)
         note = f"t_route={route}"
@@ -183,7 +171,7 @@ def check_open_duality(chain: BlockChain, energy: complex,
         tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
     lhs = logdet_shift(assemble_open(chain), energy)
     t = product(chain, energy)
-    rhs = lu_logdet(t.t11) * _logdet_b(chain)
+    rhs = lu_logdet(t.t11) * logdet_blocks(chain.b)
     return _compare("open-duality", energy, None, lhs, rhs, tol_log, tol_phase)
 
 
@@ -204,15 +192,13 @@ def check_symmetric_duality(chain: BlockChain, energy: complex, z: complex,
     lhs = lu_logdet(t + t_inv - (z + 1.0 / z) * np.eye(d))
     rhs = (logdet_shift(assemble_bloch(chain, z), energy)
            * logdet_shift(assemble_bloch(chain, 1.0 / z), energy)
-           / _logdet_b(chain) / _logdet_c(chain))
+           / logdet_blocks(chain.b) / logdet_blocks(chain.c))
     return _compare("symmetric-duality", energy, z, lhs, rhs, tol_log, tol_phase)
 
 
 def check_transfer_routes(chain: BlockChain, energy: complex,
                           tol: float = 1e-6) -> DualityReport:
     """Product route versus resolvent route for T(E), entrywise."""
-    from .resolvent import transfer_from_resolvent
-
     t_prod = product(chain, energy).matrix
     t_res = transfer_from_resolvent(chain, energy).matrix
     scale = float(np.max(np.abs(t_prod)))
@@ -263,30 +249,19 @@ class SpectralCurve:
                              f"{float(e.imag)!r},{int(self.loop_id[s])}\n")
 
 
-def _greedy_match(prev: np.ndarray, curr: np.ndarray, tol: float):
+def _link(prev: np.ndarray, curr: np.ndarray, tol: float):
     """Nearest-neighbour assignment prev -> curr.
 
     Returns (perm, ambiguous_slots): perm[s] is the index in curr matched
     to prev[s]; a slot is ambiguous when its best two candidates are
     closer than tol apart (a braid crossing at this resolution).
     """
-    k = len(prev)
-    dist = np.abs(prev[:, None] - curr[None, :])
-    order = np.argsort(dist, axis=None, kind="stable")
-    perm = -np.ones(k, dtype=int)
-    used = np.zeros(k, dtype=bool)
-    for flat in order:
-        i, j = divmod(int(flat), k)
-        if perm[i] >= 0 or used[j]:
-            continue
+    pairs, _, _, _ = match_spectra(prev, curr, tol=math.inf)
+    perm = np.empty(len(prev), dtype=int)
+    for i, j in pairs:
         perm[i] = j
-        used[j] = True
-    ambiguous = []
-    for i in range(k):
-        row = np.sort(dist[i])
-        if len(row) > 1 and row[1] - row[0] < tol:
-            ambiguous.append(i)
-    return perm, ambiguous
+    nearest = np.sort(np.abs(prev[:, None] - curr[None, :]), axis=1)
+    return perm, np.flatnonzero(nearest[:, 1] - nearest[:, 0] < tol).tolist()
 
 
 def trace_spectral_curve(chain: BlockChain, xi: float,
@@ -318,22 +293,20 @@ def trace_spectral_curve(chain: BlockChain, xi: float,
     samples[0] = first[start_order]
     tol = match_tolerance(first)
     ambiguous_slots: set[int] = set()
-    monodromy = np.arange(size)
 
     prev = samples[0]
     for i in range(1, phi_steps):
         curr = spectrum(phis[i])
-        perm, amb = _greedy_match(prev, curr, tol)
+        perm, amb = _link(prev, curr, tol)
         samples[i] = curr[perm]
         ambiguous_slots.update(amb)
         prev = samples[i]
     closing = spectrum(2.0 * math.pi)
-    perm, amb = _greedy_match(prev, closing, tol)
+    perm, amb = _link(prev, closing, tol)
     ambiguous_slots.update(amb)
     # identify the phi = 2 pi spectrum with the phi = 0 one
-    ident, amb2 = _greedy_match(closing[perm], samples[0], tol)
-    ambiguous_slots.update(amb2)
-    monodromy = ident
+    monodromy, amb = _link(closing[perm], samples[0], tol)
+    ambiguous_slots.update(amb)
 
     loop_id = -np.ones(size, dtype=int)
     next_id = 0

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import BlockChain
-from .duality import _logdet_b, _logdet_c
 from .hamiltonian import assemble_balanced, logdet_shift
-from .linalg import lu_logdet
+from .linalg import logdet_blocks, lu_logdet
 from .transfer import LogEigenvalues, eigenvalues_stabilized, product
 
 #: minimum distance of an integration contour from any exponent
@@ -74,14 +73,14 @@ class ExponentSpectrum:
 
 
 def exponent_spectrum(chain: BlockChain, energy: complex,
-                      method: str = "auto") -> ExponentSpectrum:
+                      method: str = "cyclic") -> ExponentSpectrum:
     """All 2m exponents of T(E), descending.
 
     ``method`` selects the eigenvalue route: "cyclic" (stabilized, default
     for every size), "direct" (plain eigensolve of the formed product;
     small chains only, kept as an oracle route).
     """
-    if method not in ("auto", "cyclic", "direct"):
+    if method not in ("cyclic", "direct"):
         raise ValueError(f"unknown method {method!r}")
     if method == "direct":
         t = product(chain, energy).matrix
@@ -94,7 +93,7 @@ def exponent_spectrum(chain: BlockChain, energy: complex,
         eig = eigenvalues_stabilized(chain, energy)
     return ExponentSpectrum(xi=eig.xi.copy(), eigenvalues=eig,
                             energy=complex(energy), n=chain.n, m=chain.m,
-                            method="direct" if method == "direct" else "cyclic")
+                            method=method)
 
 
 def _flux_average(chain: BlockChain, energy: complex, xi: float,
@@ -178,7 +177,7 @@ def jensen_identity_check(chain: BlockChain, energy: complex, xi: float,
     margin = float(np.min(np.abs(spectrum.xi - xi)))
     below = spectrum.xi[spectrum.xi < xi]
     lhs = math.fsum(float(xi - x) for x in below) / m - xi
-    log_c = _logdet_c(chain).log_modulus
+    log_c = logdet_blocks(chain.c).log_modulus
     full = _flux_average(chain, energy, xi, quad_points)
     half = _flux_average(chain, energy, xi, quad_points // 2)
     rhs = full / (m * n) - log_c / (m * n)
@@ -206,7 +205,7 @@ def positive_exponent_sum(chain: BlockChain, energy: complex,
             f"phase={eig.phase[k]:.6f} lies on the unit circle; the "
             "corollary needs |z_k| != 1 for all k")
     average = _flux_average(chain, energy, 0.0, quad_points)
-    return average / chain.n - _logdet_b(chain).log_modulus / chain.n
+    return average / chain.n - logdet_blocks(chain.b).log_modulus / chain.n
 
 
 def counting_function(chain: BlockChain, energy: complex, xi: float) -> int:
@@ -254,7 +253,7 @@ def hadamard_fisher_bound(chain: BlockChain, energy: complex,
                 + e2 * chain.b[k].conj().T @ chain.b[k]
                 + em2 * chain.c[k].conj().T @ chain.c[k])
         terms.append(lu_logdet(gram).log_modulus)
-    rhs = math.fsum(terms) / (2.0 * n) - _logdet_c(chain).log_modulus / n
+    rhs = math.fsum(terms) / (2.0 * n) - logdet_blocks(chain.c).log_modulus / n
     slack = rhs - lhs
     return HadamardFisherReport(energy=complex(energy), xi=float(xi),
                                 lhs=lhs, rhs=rhs, slack=slack,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,42 +25,25 @@ from .chains import BlockChain
 from .linalg import LogDet, lu_logdet, wrap_phase
 
 
-@dataclass(frozen=True)
-class BoundaryParam:
-    """Boundary factor in canonical (xi, phi) form: z = exp(n*xi + i*phi).
+def _assemble(chain: BlockChain, upper: np.ndarray, lower: np.ndarray,
+              corners: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Place A_k on the diagonal, upper[k] at block (k, k+1), lower[k] at
+    (k+1, k) and, for a ring, corners = (top right, bottom left).
 
-    xi is the radial exponent per site; phi the total flux angle in
-    [0, 2*pi).  The per-site factor w = exp(xi + i*phi/n) never overflows
-    for physical xi, unlike z itself.
+    Corner blocks are added last, so for n = 2 they sum with the inner
+    hoppings they overlap.
     """
-
-    xi: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.xi) and math.isfinite(self.phi)):
-            raise ValueError("boundary parameters must be finite")
-        object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
-
-    @classmethod
-    def from_z(cls, z: complex, n: int) -> "BoundaryParam":
-        z = complex(z)
-        if z == 0:
-            raise ValueError("boundary factor z must be nonzero")
-        return cls(xi=math.log(abs(z)) / n, phi=cmath.phase(z) % (2.0 * math.pi))
-
-    def z(self, n: int) -> complex:
-        """exp(n*xi + i*phi); raises OverflowError when out of double range."""
-        if self.n_log_abs(n) > 709.0:
-            raise OverflowError(f"z = exp({n * self.xi:.1f} + i phi) overflows")
-        return cmath.exp(complex(n * self.xi, self.phi))
-
-    def w(self, n: int) -> complex:
-        """Per-site factor exp(xi + i*phi/n)."""
-        return cmath.exp(complex(self.xi, self.phi / n))
-
-    def n_log_abs(self, n: int) -> float:
-        return n * self.xi
+    n, m = chain.n, chain.m
+    h = np.zeros((n * m, n * m), dtype=complex)
+    blocks = h.reshape(n, m, n, m)  # blocks[i, :, j, :] is block (i, j) of h
+    k = np.arange(n)
+    blocks[k, :, k, :] = chain.a
+    blocks[k[:-1], :, k[1:], :] += upper
+    blocks[k[1:], :, k[:-1], :] += lower
+    if corners is not None:
+        blocks[0, :, n - 1, :] += corners[0]
+        blocks[n - 1, :, 0, :] += corners[1]
+    return h
 
 
 def assemble_bloch(chain: BlockChain, z: complex) -> np.ndarray:
@@ -73,11 +55,8 @@ def assemble_bloch(chain: BlockChain, z: complex) -> np.ndarray:
     z = complex(z)
     if z == 0:
         raise ValueError("boundary factor z must be nonzero")
-    n, m = chain.n, chain.m
-    h = _tridiagonal_part(chain)
-    h[:m, (n - 1) * m:] += chain.c[0] / z
-    h[(n - 1) * m:, :m] += z * chain.b[n - 1]
-    return h
+    return _assemble(chain, chain.b[:-1], chain.c[1:],
+                     (chain.c[0] / z, z * chain.b[-1]))
 
 
 def assemble_balanced(chain: BlockChain, w: complex) -> np.ndarray:
@@ -85,47 +64,19 @@ def assemble_balanced(chain: BlockChain, w: complex) -> np.ndarray:
     w = complex(w)
     if w == 0:
         raise ValueError("per-site factor w must be nonzero")
-    n, m = chain.n, chain.m
-    h = np.zeros((n * m, n * m), dtype=complex)
-    for k in range(n):
-        h[k * m:(k + 1) * m, k * m:(k + 1) * m] = chain.a[k]
-    for k in range(n - 1):
-        h[k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m] += w * chain.b[k]
-        h[(k + 1) * m:(k + 2) * m, k * m:(k + 1) * m] += chain.c[k + 1] / w
-    h[:m, (n - 1) * m:] += chain.c[0] / w
-    h[(n - 1) * m:, :m] += w * chain.b[n - 1]
-    return h
+    return _assemble(chain, w * chain.b[:-1], chain.c[1:] / w,
+                     (chain.c[0] / w, w * chain.b[-1]))
 
 
 def assemble_open(chain: BlockChain) -> np.ndarray:
     """The open-boundary operator h: no corners, B_n and C_1 unused."""
-    return _tridiagonal_part(chain)
-
-
-def _tridiagonal_part(chain: BlockChain) -> np.ndarray:
-    n, m = chain.n, chain.m
-    h = np.zeros((n * m, n * m), dtype=complex)
-    for k in range(n):
-        h[k * m:(k + 1) * m, k * m:(k + 1) * m] = chain.a[k]
-    for k in range(n - 1):
-        h[k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m] += chain.b[k]
-        h[(k + 1) * m:(k + 2) * m, k * m:(k + 1) * m] += chain.c[k + 1]
-    return h
+    return _assemble(chain, chain.b[:-1], chain.c[1:])
 
 
 def logdet_shift(matrix: np.ndarray, energy: complex) -> LogDet:
     """log det[E*I - matrix] for an assembled operator."""
     mat = np.asarray(matrix)
     return lu_logdet(energy * np.eye(mat.shape[0]) - mat)
-
-
-def logdet_ring_shift(chain: BlockChain, energy: complex, bp: BoundaryParam) -> LogDet:
-    """log det[E*I - H(z)] evaluated through the balanced form.
-
-    Exact for any xi since the balanced matrix is similar to H(z); avoids
-    the |z| = e^{n*xi} overflow of direct assembly.
-    """
-    return logdet_shift(assemble_balanced(chain, bp.w(chain.n)), energy)
 
 
 def log_minus_z(z: complex, m: int) -> LogDet:

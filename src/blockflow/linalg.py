@@ -164,12 +164,32 @@ def condition_number(a) -> float:
 def require_invertible(a, name: str = "matrix", tol: float = TOL_INV) -> np.ndarray:
     """Return the matrix if comfortably invertible, else raise."""
     m = as_matrix(a)
-    s = singular_values(m)
-    if s[-1] <= tol * max(s[0], 1.0) * m.shape[0]:
-        raise SingularMatrixError(
-            f"{name} is singular at working precision "
-            f"(sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})")
+    raise_first_singular(singular_values(m)[None], [name], tol)
     return m
+
+
+def raise_first_singular(svals: np.ndarray, names, tol: float = TOL_INV) -> None:
+    """Raise SingularMatrixError for the first singular matrix of a stack.
+
+    ``svals[i]`` holds the descending singular values of the i-th square
+    matrix (as one batched SVD returns them) and ``names[i]`` its name.  A
+    matrix is singular when sigma_min <= tol * max(sigma_max, 1) * size.
+    """
+    size = svals.shape[1]
+    bad = np.flatnonzero(svals[:, -1] <= tol * np.maximum(svals[:, 0], 1.0) * size)
+    if bad.size:
+        s = svals[bad[0]]
+        raise SingularMatrixError(
+            f"{names[bad[0]]} is singular at working precision "
+            f"(sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})")
+
+
+def logdet_blocks(blocks) -> LogDet:
+    """det[X_1 X_2 ... X_n] for a stack of square matrices, as a LogDet."""
+    out = LogDet(0.0, 0.0)
+    for block in blocks:
+        out = out * lu_logdet(block)
+    return out
 
 
 def match_tolerance(values: np.ndarray, scale: float = 1e-7) -> float:
@@ -198,7 +218,10 @@ def match_spectra(left, right, tol: float | None = None):
     used_r = np.zeros(len(rv), dtype=bool)
     pairs = []
     max_d = 0.0
+    complete = min(len(lv), len(rv))
     for flat in order:
+        if len(pairs) == complete:
+            break
         i, j = divmod(int(flat), len(rv))
         if used_l[i] or used_r[j]:
             continue

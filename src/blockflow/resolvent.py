@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .chains import BlockChain
 from .linalg import as_matrix, singular_values
-from .transfer import TransferMatrix
+from .transfer import TransferMatrix, product
 
 #: corner extraction refuses condition estimates beyond this
 COND_GUARD = 1e12
@@ -54,23 +54,19 @@ class ResolventCorners:
 def _banded_storage(chain: BlockChain, energy: complex):
     """(h - E) in LAPACK general-banded storage for gbtrf."""
     n, m = chain.n, chain.m
-    size = n * m
     kl = ku = 2 * m - 1
-    ab = np.zeros((2 * kl + ku + 1, size), dtype=complex)
-
-    def put(i, j, value):
-        ab[kl + ku + i - j, j] = value
-
-    for k in range(n):
-        for r in range(m):
-            for s in range(m):
-                i, j = k * m + r, k * m + s
-                put(i, j, chain.a[k][r, s] - (energy if i == j else 0.0))
-    for k in range(n - 1):
-        for r in range(m):
-            for s in range(m):
-                put(k * m + r, (k + 1) * m + s, chain.b[k][r, s])
-                put((k + 1) * m + r, k * m + s, chain.c[k + 1][r, s])
+    ab = np.zeros((2 * kl + ku + 1, n * m), dtype=complex)
+    shifted = chain.a.copy()
+    diag = np.arange(m)
+    shifted[:, diag, diag] -= energy
+    # entry (i, j) of h - E sits at ab[kl + ku + i - j, j]; block (k, k')
+    # covers i = k m + r, j = k' m + s
+    r = diag[:, None]
+    s = diag[None, :]
+    k = np.arange(n)[:, None, None]
+    ab[kl + ku + r - s, k * m + s] = shifted
+    ab[kl + ku - m + r - s, (k[:-1] + 1) * m + s] = chain.b[:-1]
+    ab[kl + ku + m + r - s, k[:-1] * m + s] = chain.c[1:]
     return ab, kl, ku
 
 
@@ -180,11 +176,9 @@ def factorization_residual(chain: BlockChain, energy: complex) -> float:
     a route-independent consistency check tying the product transfer
     matrix to the resolvent corners.
     """
-    from .transfer import product as transfer_product
-
     m = chain.m
     corners = corner_blocks(chain, energy)
-    t = transfer_product(chain, energy).matrix
+    t = product(chain, energy).matrix
     left = np.zeros((2 * m, 2 * m), dtype=complex)
     left[:m, m:] = -np.linalg.inv(chain.b[chain.n - 1])
     left[m:, :m] = corners.gn1

@@ -23,7 +23,7 @@ import numpy as np
 
 from .chains import BlockChain
 from .exponents import exponent_spectrum
-from .transfer import one_step, product
+from .transfer import product, steps
 
 #: tolerance for the structural Hermitian-chain test
 TOL_STRUCTURE = 1e-12
@@ -87,12 +87,12 @@ def check_symplectic(chain: BlockChain, energy: complex,
     residual = float(np.max(np.abs(lhs - sigma_n)))
     scale = float(np.max(np.abs(sigma_n))
                   * max(1.0, np.linalg.norm(t_e, 2) * np.linalg.norm(t_ebar, 2)))
+    steps_e = steps(chain, energy)
+    steps_ebar = steps(chain, complex(energy).conjugate())
     step_residuals = []
     for k in range(1, n + 1):
-        tk_e = one_step(chain, k, energy)
-        tk_ebar = one_step(chain, k, complex(energy).conjugate())
         target = sigma_form(chain, k - 1) if k > 1 else sigma_n
-        got = tk_ebar.conj().T @ sigma_form(chain, k) @ tk_e
+        got = steps_ebar[k - 1].conj().T @ sigma_form(chain, k) @ steps_e[k - 1]
         step_residuals.append(float(np.max(np.abs(got - target))))
     return SymplecticReport(energy=complex(energy), residual=residual,
                             scale=scale,

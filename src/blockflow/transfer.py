@@ -58,18 +58,15 @@ class TransferMatrix:
         return self.matrix[self.m:, self.m:]
 
 
-def one_step(chain: BlockChain, k: int, energy: complex) -> np.ndarray:
-    """t_k(E) for 1-based site index k."""
-    if not 1 <= k <= chain.n:
-        raise IndexError(f"site index {k} outside 1..{chain.n}")
-    m = chain.m
-    a, b, c = chain.a[k - 1], chain.b[k - 1], chain.c[k - 1]
-    t = np.zeros((2 * m, 2 * m), dtype=complex)
-    shifted = energy * np.eye(m) - a
-    t[:m, :m] = np.linalg.solve(b, shifted)
-    t[:m, m:] = -np.linalg.solve(b, c)
-    t[m:, :m] = np.eye(m)
-    return t
+def steps(chain: BlockChain, energy: complex) -> np.ndarray:
+    """All one-step matrices, shape (n, 2m, 2m): out[k] is t_{k+1}(E)."""
+    n, m = chain.n, chain.m
+    out = np.zeros((n, 2 * m, 2 * m), dtype=complex)
+    # two solves, not one over [E - A | -C]: the fused solve rounds differently
+    out[:, :m, :m] = np.linalg.solve(chain.b, energy * np.eye(m) - chain.a)
+    out[:, :m, m:] = -np.linalg.solve(chain.b, chain.c)
+    out[:, m:, :m] = np.eye(m)
+    return out
 
 
 def product(chain: BlockChain, energy: complex) -> TransferMatrix:
@@ -80,8 +77,8 @@ def product(chain: BlockChain, energy: complex) -> TransferMatrix:
     """
     total = np.eye(2 * chain.m, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, chain.n + 1):
-            total = one_step(chain, k, energy) @ total
+        for k, step in enumerate(steps(chain, energy), start=1):
+            total = step @ total
             if not np.all(np.isfinite(total)):
                 raise ProductOverflowError(
                     f"transfer product overflowed at step {k} of {chain.n}")
@@ -180,8 +177,8 @@ def stabilized_log_singular_values(chain: BlockChain, energy: complex,
     # inter-column overlap, not as norm spread; orthogonalize early once any
     # pair leans together, before the small directions drown in roundoff
     overlap_cap = 0.999
-    for k in range(1, chain.n + 1):
-        cols = one_step(chain, k, energy) @ cols
+    for k, step in enumerate(steps(chain, energy), start=1):
+        cols = step @ cols
         norms = np.linalg.norm(cols, axis=0)
         if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
             raise SingularMatrixError(
@@ -239,12 +236,11 @@ class LogEigenvalues:
 
 
 def _cyclic_embedding(chain: BlockChain, energy: complex) -> np.ndarray:
-    n, m = chain.n, chain.m
-    d = 2 * m
+    n, d = chain.n, 2 * chain.m
     big = np.zeros((n * d, n * d), dtype=complex)
-    for k in range(n):
-        row = (k + 1) % n
-        big[row * d:(row + 1) * d, k * d:(k + 1) * d] = one_step(chain, k + 1, energy)
+    k = np.arange(n)
+    # block (k + 1 mod n, k) holds t_{k+1}
+    big.reshape(n, d, n, d)[(k + 1) % n, :, k, :] = steps(chain, energy)
     return big
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from blockflow import (BlockChain, ModelSpec, SingularMatrixError,
-                       anderson_strip, banded_random, chain_to_spec,
-                       hatano_nelson, random_tridiag, reassemble_banded)
+                       anderson_strip, assemble_open, banded_random,
+                       chain_to_spec, hatano_nelson, random_tridiag)
 from blockflow.chains import EPS_INV
 
 from conftest import hermitian_chain, random_chain
@@ -76,7 +76,7 @@ def test_anderson_strip_structure():
 def test_banded_random_round_trip():
     b = 3
     ch = banded_random(18, b, -1, 1, seed=5)
-    full = reassemble_banded(ch)
+    full = assemble_open(ch)
     n_sites = 18
     idx = np.arange(n_sites)
     outside = np.abs(idx[:, None] - idx[None, :]) > b

@@ -148,6 +148,40 @@ def test_curve_csv_to_stdout(tridiag_config, capsys):
     assert out.startswith("# blockflow-csv v1\n")
 
 
+def test_curve_overflowing_xi_is_input_error(tridiag_config, capsys):
+    # e^(xi + i phi / n) leaves double range: exit 2 with one error line
+    rc = main(["curve", "--config", tridiag_config, "--xi", "1e6"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, config_extra, named", [
+    (["exponents", "--energy", "nan"], {}, "--energy"),
+    (["exponents", "--energy", "inf,0"], {}, "--energy"),
+    (["exponents", "--jensen-xi=nan"], {}, "--jensen-xi"),
+    (["curve", "--xi", "nan"], {}, "--xi"),
+    (["verify", "--z", "nan"], {}, "--z"),
+    (["verify", "--phi=-inf"], {}, "--phi"),
+    (["verify", "--tol-log", "nan"], {}, "--tol-log"),
+    (["exponents"], {"energy": [0.4, float("inf")]}, "'energy'"),
+    (["verify"], {"z": float("nan")}, "'z'"),
+    (["verify"], {"xi": float("nan")}, "'xi'"),
+    (["curve"], {"xi": float("inf")}, "'xi'"),
+])
+def test_nonfinite_input_is_named(tmp_path, capsys, argv, config_extra, named):
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "random-tridiag", "n": 10, "seed": 7,
+                  "interval": [-2, 2]},
+        "energy": [0.4, 0.3], **config_extra})
+    rc = main([argv[0], "--config", cfg, *argv[1:]])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and "finite" in err
+
+
 def test_exponents_json_and_csv(tridiag_config, tmp_path, capsys):
     csv = tmp_path / "e.csv"
     rc = main(["exponents", "--config", tridiag_config, "--csv", str(csv)])

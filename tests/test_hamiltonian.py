@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from blockflow import (BoundaryParam, assemble_balanced, assemble_bloch,
-                       assemble_open, logdet_ring_shift, logdet_shift)
+from blockflow import (assemble_balanced, assemble_bloch, assemble_open,
+                       logdet_shift)
 from blockflow.hamiltonian import log_minus_z
 from blockflow.linalg import LogDet, wrap_phase
 
@@ -67,36 +67,19 @@ def test_ring_logdet_beyond_overflow():
     # n*xi = 200 makes z = e^200 assemble-able but e^800 would not be;
     # the balanced route never forms z at all
     ch = random_chain(200, 1, seed=36)
-    bp = BoundaryParam(xi=4.0)
-    with pytest.raises(OverflowError):
-        bp.z(ch.n)
-    ld = logdet_ring_shift(ch, 0.5 + 0.5j, bp)
+    ld = logdet_shift(assemble_balanced(ch, math.exp(4.0)), 0.5 + 0.5j)
     assert math.isfinite(ld.log_modulus)
 
 
 def test_ring_logdet_matches_direct_when_representable():
     ch = random_chain(6, 2, seed=37)
-    bp = BoundaryParam(xi=0.2, phi=1.1)
+    xi, phi = 0.2, 1.1
     e = -0.3 + 0.8j
-    via_balanced = logdet_ring_shift(ch, e, bp)
-    direct = logdet_shift(assemble_bloch(ch, bp.z(ch.n)), e)
+    via_balanced = logdet_shift(
+        assemble_balanced(ch, cmath.exp(complex(xi, phi / ch.n))), e)
+    direct = logdet_shift(assemble_bloch(ch, cmath.exp(complex(ch.n * xi, phi))), e)
     assert via_balanced.log_modulus == pytest.approx(direct.log_modulus, abs=1e-9)
     assert wrap_phase(via_balanced.phase - direct.phase) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_boundary_param_canonicalization():
-    bp = BoundaryParam(xi=0.5, phi=-1.0)
-    assert 0.0 <= bp.phi < 2.0 * math.pi
-    assert bp.phi == pytest.approx(2.0 * math.pi - 1.0)
-    z = bp.z(4)
-    again = BoundaryParam.from_z(z, 4)
-    assert again.xi == pytest.approx(0.5, abs=1e-12)
-    assert again.phi == pytest.approx(bp.phi, abs=1e-12)
-    assert bp.w(4) == pytest.approx(cmath.exp(complex(0.5, bp.phi / 4)))
-    with pytest.raises(ValueError):
-        BoundaryParam(xi=math.inf)
-    with pytest.raises(ValueError):
-        BoundaryParam.from_z(0.0, 3)
 
 
 def test_zero_boundary_factor_rejected():

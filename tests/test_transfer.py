@@ -5,9 +5,9 @@ import pytest
 
 from blockflow import (ProductOverflowError, eigenvalues_stabilized,
                        inverse_via_inversion, lu_logdet, match_spectra,
-                       one_step, polynomial_coefficients, product,
+                       polynomial_coefficients, product,
                        stabilized_log_singular_values,
-                       stabilized_singular_products)
+                       stabilized_singular_products, steps)
 from blockflow.chains import BlockChain
 from blockflow.linalg import SingularMatrixError, sort_by_modulus
 
@@ -42,18 +42,10 @@ def test_clean_two_site_product_by_hand():
     # single step [[E, -1], [1, 0]]; squared at E = 2i gives [[-5, -2i], [2i, -1]]
     ch = clean_chain(2)
     e = 2.0j
-    t1 = one_step(ch, 1, e)
+    t1 = steps(ch, e)[0]
     assert np.allclose(t1, np.array([[e, -1.0], [1.0, 0.0]]))
     t = product(ch, e).matrix
     assert np.allclose(t, np.array([[-5.0, -2.0j], [2.0j, -1.0]]))
-
-
-def test_one_step_index_bounds():
-    ch = clean_chain(3)
-    with pytest.raises(IndexError):
-        one_step(ch, 0, 0.0)
-    with pytest.raises(IndexError):
-        one_step(ch, 4, 0.0)
 
 
 def test_determinant_law():
