@@ -56,6 +56,17 @@ def _require_finite(value, what: str):
     return value
 
 
+def _require_exp_range(xi: float, what: str) -> None:
+    """InputError naming ``what`` unless e^xi is a nonzero finite double."""
+    try:
+        in_range = math.exp(xi) > 0.0
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise InputError(f"{what} = {xi!r} is out of range: e^(xi) overflows "
+                         "or underflows double precision")
+
+
 def _parse_complex(text: str, flag: str) -> complex:
     parts = text.split(",")
     value = None
@@ -186,6 +197,7 @@ def _cmd_verify(args) -> int:
     if z == 0:
         raise InputError("z must be nonzero")
     tol_log = TOL_LOG if args.tol_log is None else args.tol_log
+    spectrum = exponent_spectrum(chain, energy)
     checks = []
     notices = []
 
@@ -206,7 +218,8 @@ def _cmd_verify(args) -> int:
         notices.append(f"open-duality skipped: {exc}")
 
     if chain.n >= 3:
-        record(check_duality(chain, energy, z, tol_log=tol_log))
+        record(check_duality(chain, energy, z, tol_log=tol_log,
+                             spectrum=spectrum))
         try:
             record(check_symmetric_duality(chain, energy, z, tol_log=tol_log))
         except ProductOverflowError as exc:
@@ -217,7 +230,6 @@ def _cmd_verify(args) -> int:
             "corners overlap the inner hoppings and the determinant "
             "identities are only checked for n >= 3")
 
-    spectrum = exponent_spectrum(chain, energy)
     sum_rule = spectrum.sum_rule_value(chain)
     residual = abs(spectrum.sum - sum_rule)
     checks.append({"check": "exponent-sum-rule", "sum": spectrum.sum,
@@ -227,10 +239,11 @@ def _cmd_verify(args) -> int:
     if chain.is_hermitian():
         record(check_symplectic(chain, energy), name="symplectic")
         if abs(complex(energy).imag) >= 1e-8:
-            record(check_unit_circle_exclusion(chain, energy),
+            record(check_unit_circle_exclusion(chain, energy, spectrum=spectrum),
                    name="unit-circle-exclusion")
         else:
-            pairing = detect_pairings(chain, energy, mode="hermitian-real-E")
+            pairing = detect_pairings(chain, energy, mode="hermitian-real-E",
+                                      spectrum=spectrum)
             checks.append({"check": "pairing", **pairing.to_dict(),
                            "passed": not pairing.unmatched})
     else:
@@ -317,6 +330,7 @@ def _cmd_curve(args) -> int:
     xi = _resolve(args, config, "xi", args.xi, float)
     if xi is None:
         raise InputError("curve requires --xi (or config 'xi')")
+    _require_exp_range(xi, "--xi" if args.xi is not None else "config field 'xi'")
     phi_steps = _resolve(args, config, "phi_steps", args.phi_steps, int, 64)
     curve = trace_spectral_curve(chain, xi, phi_steps=phi_steps)
     buf = io.StringIO()
@@ -340,6 +354,8 @@ def _cmd_exponents(args) -> int:
     config = _load_config(args.config)
     chain, model_summary = _build_chain(config)
     energy = _require_energy(args, config)
+    if args.jensen_xi is not None:
+        _require_exp_range(args.jensen_xi, "--jensen-xi")
     method = _resolve(args, config, "method", args.method, str, "cyclic")
     spectrum = exponent_spectrum(chain, energy, method=method)
     if args.csv is not None:
@@ -360,7 +376,7 @@ def _cmd_exponents(args) -> int:
     if args.jensen_xi is not None:
         quad = _resolve(args, config, "quad_points", args.quad_points, int, 256)
         report = jensen_identity_check(chain, energy, args.jensen_xi,
-                                       quad_points=quad)
+                                       quad_points=quad, spectrum=spectrum)
         doc["jensen"] = report.to_dict()
     _emit(doc, args.json)
     return 0
@@ -444,9 +460,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # built on first use, not at import, and reused by later calls
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if getattr(args, "energy", None) is not None:
             args.energy = _parse_complex(args.energy, "--energy")

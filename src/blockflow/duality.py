@@ -29,13 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import BlockChain
+from .exponents import ExponentSpectrum, shared_spectrum
 from .hamiltonian import (assemble_balanced, assemble_bloch, assemble_open,
                           log_minus_z, logdet_shift)
 from .linalg import (LogDet, logdet_blocks, lu_logdet, match_spectra,
                      match_tolerance, wrap_phase)
 from .resolvent import transfer_from_resolvent
-from .transfer import (ProductOverflowError, eigenvalues_stabilized,
-                       inverse_via_inversion, product)
+from .transfer import ProductOverflowError, inverse_via_inversion, product
 
 #: default acceptance tolerances for the identity checks
 TOL_LOG = 1e-7
@@ -103,12 +103,14 @@ def _require_ring(chain: BlockChain, who: str) -> None:
             "inner hoppings and the identity checks are skipped")
 
 
-def _logdet_zi_minus_t(chain: BlockChain, energy: complex, z: complex) -> tuple[LogDet, str]:
+def _logdet_zi_minus_t(chain: BlockChain, energy: complex, z: complex,
+                       spectrum: ExponentSpectrum | None) -> tuple[LogDet, str]:
     """log det[zI - T(E)], via stabilized eigenvalues when the product is wild.
 
     Forming zI - T in doubles cancels catastrophically once the entries of T
     dwarf det[zI - T], so the dense route is only trusted while the entries
-    stay moderate; overflow of the raw product is the hard backstop.
+    stay moderate; overflow of the raw product is the hard backstop.  The
+    eigenvalues come from ``spectrum`` when one is given.
     """
     d = 2 * chain.m
     try:
@@ -117,7 +119,7 @@ def _logdet_zi_minus_t(chain: BlockChain, energy: complex, z: complex) -> tuple[
             return lu_logdet(z * np.eye(d) - t), "product"
     except ProductOverflowError:
         pass
-    eig = eigenvalues_stabilized(chain, energy)
+    eig = shared_spectrum(chain, energy, spectrum).eigenvalues
     total = LogDet(0.0, 0.0)
     log_z = math.log(abs(z))
     for la, ph in zip(eig.log_abs, eig.phase):
@@ -141,15 +143,20 @@ def _logdet_zi_minus_t(chain: BlockChain, energy: complex, z: complex) -> tuple[
 
 def check_duality(chain: BlockChain, energy: complex, z: complex,
                   tol_log: float = TOL_LOG,
-                  tol_phase: float | None = None) -> DualityReport:
-    """Compare det[zI - T(E)] det[B_1..B_n] with (-z)^m det[E - H(z)]."""
+                  tol_phase: float | None = None,
+                  spectrum: ExponentSpectrum | None = None) -> DualityReport:
+    """Compare det[zI - T(E)] det[B_1..B_n] with (-z)^m det[E - H(z)].
+
+    det[zI - T] falls back to the transfer eigenvalues when the product is
+    wild; those come from ``spectrum`` when one is given.
+    """
     _require_ring(chain, "check_duality")
     z = complex(z)
     if z == 0:
         raise ValueError("z must be nonzero")
     if tol_phase is None:
         tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
-    lhs_t, route = _logdet_zi_minus_t(chain, energy, z)
+    lhs_t, route = _logdet_zi_minus_t(chain, energy, z, spectrum)
     lhs = lhs_t * logdet_blocks(chain.b)
     if abs(math.log(abs(z))) < 230.0:
         ring = logdet_shift(assemble_bloch(chain, z), energy)

@@ -96,13 +96,31 @@ def exponent_spectrum(chain: BlockChain, energy: complex,
                             method=method)
 
 
-def _flux_average(chain: BlockChain, energy: complex, xi: float,
-                  quad_points: int) -> float:
-    """(1/2 pi) integral of log|det[H(e^{n xi + i phi}) - E]| d phi.
+def shared_spectrum(chain: BlockChain, energy: complex,
+                    spectrum: ExponentSpectrum | None = None) -> ExponentSpectrum:
+    """``spectrum`` when given, else the default exponent_spectrum(chain, E).
+
+    Lets one report compute the spectrum once and hand it to every check;
+    a spectrum of another size or energy is refused.
+    """
+    if spectrum is None:
+        return exponent_spectrum(chain, energy)
+    if (spectrum.n, spectrum.m) != (chain.n, chain.m) \
+            or spectrum.energy != complex(energy):
+        raise ValueError(
+            f"spectrum of an n={spectrum.n}, m={spectrum.m} chain at "
+            f"E={spectrum.energy!r} passed for an n={chain.n}, m={chain.m} "
+            f"chain at E={complex(energy)!r}")
+    return spectrum
+
+
+def _flux_values(chain: BlockChain, energy: complex, xi: float,
+                 quad_points: int) -> list[float]:
+    """log|det[H(e^{n xi + i phi_j}) - E]| at phi_j = 2 pi j / quad_points.
 
     Evaluated through the balanced gauge, which is similar to H(z) with
-    entries O(e^{|xi|}); the trapezoid rule on a periodic analytic
-    integrand converges geometrically.
+    entries O(e^{|xi|}); the trapezoid rule (their mean) on a periodic
+    analytic integrand converges geometrically to the flux average.
     """
     n = chain.n
     values = []
@@ -115,7 +133,7 @@ def _flux_average(chain: BlockChain, energy: complex, xi: float,
                 f"det[H - E] vanished on the contour at phi={phi:.6f}; "
                 f"shift xi away from an exponent", suggested_xi=xi + 10 * DELTA_EDGE)
         values.append(ld.log_modulus)
-    return math.fsum(values) / quad_points
+    return values
 
 
 def _guard_contour(spectrum: ExponentSpectrum, xi: float) -> None:
@@ -162,24 +180,30 @@ class JensenReport:
 
 
 def jensen_identity_check(chain: BlockChain, energy: complex, xi: float,
-                          quad_points: int = QUAD_POINTS) -> JensenReport:
+                          quad_points: int = QUAD_POINTS,
+                          spectrum: ExponentSpectrum | None = None) -> JensenReport:
     """Evaluate both sides of
 
         (1/m) sum_{xi_k < xi} (xi - xi_k) - xi
             = (1/(m n)) <log|det[H(e^{n xi + i phi}) - E]|>_phi
               - (1/(m n)) sum_j log|det C_j|.
+
+    The convergence estimate compares the rule with its half-node rule,
+    whose nodes are every other node of the full rule.  A ``spectrum``
+    already computed at (chain, E) is used instead of a fresh one.
     """
     if quad_points < 8 or quad_points % 2:
         raise ValueError("quad_points must be even and at least 8")
     n, m = chain.n, chain.m
-    spectrum = exponent_spectrum(chain, energy)
+    spectrum = shared_spectrum(chain, energy, spectrum)
     _guard_contour(spectrum, xi)
     margin = float(np.min(np.abs(spectrum.xi - xi)))
     below = spectrum.xi[spectrum.xi < xi]
     lhs = math.fsum(float(xi - x) for x in below) / m - xi
     log_c = logdet_blocks(chain.c).log_modulus
-    full = _flux_average(chain, energy, xi, quad_points)
-    half = _flux_average(chain, energy, xi, quad_points // 2)
+    values = _flux_values(chain, energy, xi, quad_points)
+    full = math.fsum(values) / quad_points
+    half = math.fsum(values[::2]) / (quad_points // 2)
     rhs = full / (m * n) - log_c / (m * n)
     rhs_half = half / (m * n) - log_c / (m * n)
     return JensenReport(energy=complex(energy), xi=float(xi), lhs=lhs, rhs=rhs,
@@ -204,7 +228,7 @@ def positive_exponent_sum(chain: BlockChain, energy: complex,
             f"transfer eigenvalue z_{k} with log|z|={eig.log_abs[k]:.3e}, "
             f"phase={eig.phase[k]:.6f} lies on the unit circle; the "
             "corollary needs |z_k| != 1 for all k")
-    average = _flux_average(chain, energy, 0.0, quad_points)
+    average = math.fsum(_flux_values(chain, energy, 0.0, quad_points)) / quad_points
     return average / chain.n - logdet_blocks(chain.b).log_modulus / chain.n
 
 

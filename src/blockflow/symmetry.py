@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import BlockChain
-from .exponents import exponent_spectrum
+from .exponents import ExponentSpectrum, shared_spectrum
 from .transfer import product, steps
 
 #: tolerance for the structural Hermitian-chain test
@@ -81,14 +81,15 @@ def check_symplectic(chain: BlockChain, energy: complex,
     _require_hermitian(chain)
     n = chain.n
     sigma_n = sigma_form(chain, n)
-    t_e = product(chain, energy).matrix
-    t_ebar = product(chain, complex(energy).conjugate()).matrix
+    energy_bar = complex(energy).conjugate()
+    steps_e = steps(chain, energy)
+    t_e = product(chain, energy, steps_e).matrix
+    steps_ebar = steps(chain, energy_bar)
+    t_ebar = product(chain, energy_bar, steps_ebar).matrix
     lhs = t_ebar.conj().T @ sigma_n @ t_e
     residual = float(np.max(np.abs(lhs - sigma_n)))
     scale = float(np.max(np.abs(sigma_n))
                   * max(1.0, np.linalg.norm(t_e, 2) * np.linalg.norm(t_ebar, 2)))
-    steps_e = steps(chain, energy)
-    steps_ebar = steps(chain, complex(energy).conjugate())
     step_residuals = []
     for k in range(1, n + 1):
         target = sigma_form(chain, k - 1) if k > 1 else sigma_n
@@ -133,19 +134,20 @@ class PairingReport:
 
 
 def detect_pairings(chain: BlockChain, energy: complex,
-                    mode: str = "hermitian-real-E") -> PairingReport:
+                    mode: str = "hermitian-real-E",
+                    spectrum: ExponentSpectrum | None = None) -> PairingReport:
     """Group the transfer eigenvalues into symmetry multiplets.
 
     mode "hermitian-real-E": pairs (z, 1/zbar), i.e. opposite log moduli
     with equal phases; requires a Hermitian chain and real E to be
     meaningful.  mode "real-symmetric": quadruples {z, zbar, 1/z, 1/zbar}
     (pairs degenerate to size 2 on the real axis or the unit circle).
-    Unmatched eigenvalues are reported, not raised.
+    Unmatched eigenvalues are reported, not raised.  A ``spectrum``
+    already computed at (chain, E) is used instead of a fresh one.
     """
     if mode not in ("hermitian-real-E", "real-symmetric"):
         raise ValueError(f"unknown pairing mode {mode!r}")
-    spectrum = exponent_spectrum(chain, energy)
-    eig = spectrum.eigenvalues
+    eig = shared_spectrum(chain, energy, spectrum).eigenvalues
     count = len(eig.log_abs)
     log_abs = eig.log_abs
     phase = eig.phase
@@ -214,16 +216,19 @@ class UnitCircleReport:
 
 
 def check_unit_circle_exclusion(chain: BlockChain, energy: complex,
-                                min_im: float = 1e-8) -> UnitCircleReport:
+                                min_im: float = 1e-8,
+                                spectrum: ExponentSpectrum | None = None
+                                ) -> UnitCircleReport:
     """At Im E != 0 a Hermitian chain has no unit-circle eigenvalue.
 
     Returns the margin min_k |log|z_k||, which is strictly positive and
-    grows with |Im E|.
+    grows with |Im E|.  A ``spectrum`` already computed at (chain, E) is
+    used instead of a fresh one.
     """
     _require_hermitian(chain)
     if abs(complex(energy).imag) < min_im:
         raise ValueError(f"need |Im E| >= {min_im} for the exclusion check")
-    spectrum = exponent_spectrum(chain, energy)
+    spectrum = shared_spectrum(chain, energy, spectrum)
     margin = float(np.min(np.abs(spectrum.eigenvalues.log_abs)))
     return UnitCircleReport(energy=complex(energy), margin=margin,
                             passed=bool(margin > 0.0))

@@ -69,15 +69,19 @@ def steps(chain: BlockChain, energy: complex) -> np.ndarray:
     return out
 
 
-def product(chain: BlockChain, energy: complex) -> TransferMatrix:
+def product(chain: BlockChain, energy: complex,
+            step_mats: np.ndarray | None = None) -> TransferMatrix:
     """Plain ordered product T(E) = t_n ... t_1.
 
-    Raises ProductOverflowError if an intermediate product leaves double
-    range; use the stabilized routes in that regime.
+    ``step_mats`` may pass steps(chain, energy) when the caller already
+    built them.  Raises ProductOverflowError if an intermediate product
+    leaves double range; use the stabilized routes in that regime.
     """
+    if step_mats is None:
+        step_mats = steps(chain, energy)
     total = np.eye(2 * chain.m, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, step in enumerate(steps(chain, energy), start=1):
+        for k, step in enumerate(step_mats, start=1):
             total = step @ total
             if not np.all(np.isfinite(total)):
                 raise ProductOverflowError(

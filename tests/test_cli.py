@@ -79,6 +79,50 @@ def test_verify_hermitian_checks_appear(tmp_path, capsys):
     assert names.count("transfer-routes") == 1
 
 
+@pytest.mark.parametrize("model, energy", [
+    # duality falls back to the eigenvalues (wild product)
+    ({"kind": "hatano-nelson", "n": 60, "seed": 14, "interval": [-3.5, 3.5]},
+     [0.4, 0.9]),
+    # Hermitian: unit-circle exclusion at complex E, pairing at real E
+    ({"kind": "anderson-strip", "n": 6, "m": 2, "w": 4.0, "seed": 5}, [0.3, 1.0]),
+    ({"kind": "anderson-strip", "n": 6, "m": 2, "w": 4.0, "seed": 5}, [0.3, 0.0]),
+])
+def test_verify_computes_the_spectrum_once(tmp_path, capsys, monkeypatch,
+                                           model, energy):
+    import blockflow.exponents as exponents
+
+    calls = []
+    original = exponents.eigenvalues_stabilized
+
+    def counted(chain, e):
+        calls.append(e)
+        return original(chain, e)
+
+    monkeypatch.setattr(exponents, "eigenvalues_stabilized", counted)
+    cfg = write_config(tmp_path, {"model": model, "energy": energy})
+    assert main(["verify", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_parser_is_built_once(tridiag_config, capsys, monkeypatch):
+    import blockflow.cli as cli
+
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert main(["exponents", "--config", tridiag_config]) == 0
+    assert main(["bounds", "--config", tridiag_config]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+
+
 def test_missing_energy_is_input_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "model": {"kind": "random-tridiag", "n": 6, "seed": 1,
@@ -155,6 +199,26 @@ def test_curve_overflowing_xi_is_input_error(tridiag_config, capsys):
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, config_extra, named", [
+    (["curve", "--xi", "800"], {}, "--xi"),
+    (["curve", "--xi=-800"], {}, "--xi"),
+    (["curve"], {"xi": 800.0}, "config field 'xi'"),
+    (["exponents", "--jensen-xi=1e6"], {}, "--jensen-xi"),
+    (["exponents", "--jensen-xi=-1e6"], {}, "--jensen-xi"),
+])
+def test_out_of_range_xi_is_named(tmp_path, capsys, argv, config_extra, named):
+    # e^(xi) beyond double range: exit 2 with one error line naming the input
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "random-tridiag", "n": 10, "seed": 7,
+                  "interval": [-2, 2]},
+        "energy": [0.4, 0.3], **config_extra})
+    rc = main([argv[0], "--config", cfg, *argv[1:]])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, config_extra, named", [

@@ -25,6 +25,20 @@ def test_methods_agree_on_small_chains():
         exponent_spectrum(ch, e, method="qr")
 
 
+def test_checks_reuse_a_passed_spectrum():
+    ch = hermitian_chain(8, 2, seed=94)
+    e = 0.2 + 0.6j
+    sp = exponent_spectrum(ch, e)
+    xi = float(np.mean(sp.xi[1:3]))
+    assert jensen_identity_check(ch, e, xi, quad_points=32, spectrum=sp) \
+        == jensen_identity_check(ch, e, xi, quad_points=32)
+    # a spectrum of another energy or chain is refused, not silently used
+    with pytest.raises(ValueError, match="spectrum"):
+        jensen_identity_check(ch, 0.2 + 0.7j, xi, spectrum=sp)
+    with pytest.raises(ValueError, match="spectrum"):
+        jensen_identity_check(hermitian_chain(9, 2, seed=94), e, xi, spectrum=sp)
+
+
 def test_sum_rule_long_chain():
     ch = random_chain(200, 2, seed=93)
     sp = exponent_spectrum(ch, 0.1 + 0.7j)

@@ -94,3 +94,17 @@ def test_exponent_negation_symmetry_at_real_energy():
     sp = exponent_spectrum(ch, -0.4)
     xs = np.sort(sp.xi)
     assert np.allclose(xs, -xs[::-1], atol=1e-9)
+
+
+def test_symplectic_overflow_names_the_same_step_as_product():
+    from blockflow import BlockChain, ProductOverflowError, product
+
+    diag = np.full((500, 1, 1), 30.0, dtype=complex)
+    ones = np.ones((500, 1, 1), dtype=complex)
+    ch = BlockChain(a=diag, b=ones.copy(), c=ones.copy())
+    assert ch.is_hermitian()
+    with pytest.raises(ProductOverflowError) as plain:
+        product(ch, 0.5j)
+    with pytest.raises(ProductOverflowError) as symplectic:
+        check_symplectic(ch, 0.5j)
+    assert str(symplectic.value) == str(plain.value)
