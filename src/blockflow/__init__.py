@@ -31,7 +31,8 @@ from .symmetry import (NotHermitianChainError, PairingReport,
                        check_unit_circle_exclusion, detect_pairings,
                        sigma_form)
 from .transfer import (LogEigenvalues, ProductOverflowError, TransferMatrix,
-                       eigenvalues_stabilized, inverse_via_inversion,
+                       eigenvalues_cyclic, eigenvalues_stabilized,
+                       inverse_via_inversion,
                        polynomial_coefficients, product,
                        stabilized_log_singular_values,
                        stabilized_singular_products, steps)

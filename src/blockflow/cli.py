@@ -356,7 +356,7 @@ def _cmd_exponents(args) -> int:
     energy = _require_energy(args, config)
     if args.jensen_xi is not None:
         _require_exp_range(args.jensen_xi, "--jensen-xi")
-    method = _resolve(args, config, "method", args.method, str, "cyclic")
+    method = _resolve(args, config, "method", args.method, str, "periodic")
     spectrum = exponent_spectrum(chain, energy, method=method)
     if args.csv is not None:
         buf = io.StringIO()
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exponents", help="characteristic exponents at one energy")
     _add_common(p)
     p.add_argument("--energy", metavar="RE[,IM]")
-    p.add_argument("--method", choices=("cyclic", "direct"))
+    p.add_argument("--method", choices=("periodic", "cyclic", "direct"))
     p.add_argument("--csv", metavar="FILE", help="write the spectrum as CSV")
     p.add_argument("--jensen-xi", type=float, dest="jensen_xi",
                    help="also evaluate the contour identity at this xi")

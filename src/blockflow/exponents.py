@@ -29,7 +29,8 @@ import numpy as np
 from .chains import BlockChain
 from .hamiltonian import assemble_balanced, logdet_shift
 from .linalg import logdet_blocks, lu_logdet
-from .transfer import LogEigenvalues, eigenvalues_stabilized, product
+from .transfer import (LogEigenvalues, eigenvalues_cyclic, eigenvalues_stabilized,
+                       product)
 
 #: minimum distance of an integration contour from any exponent
 DELTA_EDGE = 1e-6
@@ -52,7 +53,11 @@ class UnitCircleEigenvalueError(ValueError):
 
 @dataclass(frozen=True)
 class ExponentSpectrum:
-    """Exponents xi_k with the eigenvalues they came from."""
+    """Exponents xi_k with the eigenvalues they came from.
+
+    ``method`` names the route that produced them: "periodic", "cyclic"
+    (also when the periodic iteration fell back) or "direct".
+    """
 
     xi: np.ndarray
     eigenvalues: LogEigenvalues
@@ -73,27 +78,32 @@ class ExponentSpectrum:
 
 
 def exponent_spectrum(chain: BlockChain, energy: complex,
-                      method: str = "cyclic") -> ExponentSpectrum:
+                      method: str = "periodic") -> ExponentSpectrum:
     """All 2m exponents of T(E), descending.
 
-    ``method`` selects the eigenvalue route: "cyclic" (stabilized, default
-    for every size), "direct" (plain eigensolve of the formed product;
-    small chains only, kept as an oracle route).
+    ``method`` selects the eigenvalue route: "periodic" (periodic QR,
+    default for every size, falling back to the cyclic embedding when it
+    does not settle), "cyclic" (the dense cyclic embedding, kept as an
+    oracle route), "direct" (plain eigensolve of the formed product; small
+    chains only, kept as an oracle route).  The spectrum's ``method`` names
+    the route that produced the values.
     """
-    if method not in ("cyclic", "direct"):
-        raise ValueError(f"unknown method {method!r}")
     if method == "direct":
         t = product(chain, energy).matrix
         vals = np.linalg.eigvals(t)
         order = np.argsort(-np.abs(vals), kind="stable")
         vals = vals[order]
         eig = LogEigenvalues(log_abs=np.log(np.abs(vals)),
-                             phase=np.angle(vals), n=chain.n)
-    else:
+                             phase=np.angle(vals), n=chain.n, route="direct")
+    elif method == "cyclic":
+        eig = eigenvalues_cyclic(chain, energy)
+    elif method == "periodic":
         eig = eigenvalues_stabilized(chain, energy)
+    else:
+        raise ValueError(f"unknown method {method!r}")
     return ExponentSpectrum(xi=eig.xi.copy(), eigenvalues=eig,
                             energy=complex(energy), n=chain.n, m=chain.m,
-                            method=method)
+                            method=eig.route)
 
 
 def shared_spectrum(chain: BlockChain, energy: complex,

@@ -9,23 +9,36 @@ and the n-step matrix is the ordered product T(E) = t_n ... t_1.  Entries
 of T grow like exp(n * xi_max), so alongside the plain product this module
 provides numerically stabilized routes: singular values accumulated in log
 space through a graded one-sided Jacobi factorization, and eigenvalues in
-log-polar form through the cyclic block-companion embedding, both of which
-never form the product itself.
+log-polar form through a periodic QR iteration (with the cyclic
+block-companion embedding as its fallback and oracle), none of which form
+the product itself.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .chains import BlockChain
 from .linalg import SingularMatrixError, as_matrix, wrap_phase
 
 #: steps between re-orthogonalizations of the accumulated product
 K_QR = 8
+
+#: periodic QR: a boundary has converged once its defect is at most this
+TOL_BOUNDARY = 1e-12
+#: periodic QR: a boundary has stalled once a sweep shrinks its defect less
+#: than this factor
+STALL_FACTOR = 100.0
+#: periodic QR: sweeps before falling back to the cyclic embedding
+MAX_SWEEPS = 32
+#: periodic QR: widest spread of log|z| within one group of unsplit
+#: eigenvalues; a normalized group product loses members below e^-spread
+MAX_GROUP_SPREAD = 10.0
 
 
 class ProductOverflowError(FloatingPointError):
@@ -207,7 +220,7 @@ def stabilized_singular_products(chain: BlockChain, energy: complex,
 
 
 # ---------------------------------------------------------------------------
-# stabilized eigenvalues: cyclic block-companion embedding
+# stabilized eigenvalues: periodic QR, cyclic block-companion embedding
 
 @dataclass(frozen=True)
 class LogEigenvalues:
@@ -216,13 +229,18 @@ class LogEigenvalues:
     log_abs[k] + i*phase[k] is one value of log z_k; ``xi`` is the exponent
     vector log|z_k| / n.  ``phase_reliable`` is False when the replica
     clustering of the embedding could not separate phases (the moduli are
-    still trustworthy).
+    still trustworthy).  ``route`` names the route that produced the
+    values ("periodic", "cyclic" or "direct") and ``sweeps`` counts the
+    periodic QR sweeps run, including those of a periodic attempt that fell
+    back to the cyclic embedding.
     """
 
     log_abs: np.ndarray
     phase: np.ndarray
     n: int
     phase_reliable: bool = True
+    route: str = "cyclic"
+    sweeps: int = 0
 
     @property
     def xi(self) -> np.ndarray:
@@ -248,7 +266,106 @@ def _cyclic_embedding(chain: BlockChain, energy: complex) -> np.ndarray:
     return big
 
 
+def _periodic_sweep(step_mats: np.ndarray, q0: np.ndarray):
+    """Solve t_k Q_{k-1} = Q_k R_k for k = 1..n; returns (Q_n, [R_k]).
+
+    Calls LAPACK geqrf/ungqr directly (the factorization numpy.linalg.qr
+    runs) to skip its per-call overhead, which dominates at 2m x 2m.
+    """
+    geqrf, ungqr = scipy.linalg.get_lapack_funcs(("geqrf", "ungqr"), (step_mats,))
+    factors = np.empty_like(step_mats)
+    q = q0
+    for k, step in enumerate(step_mats):
+        factors[k], tau, _, _ = geqrf(step @ q)
+        q, _, _ = ungqr(factors[k], tau)
+    return q, np.triu(factors)
+
+
+def _group_log_eigenvalues(closing: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """log of the eigenvalues of closing @ R_n ... R_1, all square blocks.
+
+    The product is renormalized after every factor with its scale kept in
+    log form, so it never leaves double range.
+    """
+    total = np.eye(closing.shape[0], dtype=complex)
+    log_scale = 0.0
+    for r in rs:
+        total = r @ total
+        norm = np.linalg.norm(total)
+        total /= norm
+        log_scale += np.log(norm)
+    return np.log(np.linalg.eigvals(closing @ total)) + log_scale
+
+
+def _eigenvalues_periodic(chain: BlockChain, energy: complex):
+    """Periodic QR iteration on t_n ... t_1; (log z_k, sweeps) or (None, sweeps).
+
+    Sweeps restart from the last Q_n, so Q_0^H T Q_0 = (Q_0^H Q_n) R_n ... R_1
+    tends to upper triangular form, as in the unshifted QR algorithm, but
+    without forming T.  Boundary p has the defect max|(Q_0^H Q_n)[p:, :p]|;
+    it converges at rate |z_{p+1} / z_p| per sweep, so moduli separated by
+    e^{n dxi} settle within a few sweeps.  Eigenvalues between boundaries
+    that stalled (equal or close moduli, such as unit-circle pairs) stay
+    together in one group and come from its diagonal block.  None asks for
+    the cyclic fallback: a boundary still converging after MAX_SWEEPS, a
+    group spread beyond MAX_GROUP_SPREAD or a non-finite value.
+    """
+    step_mats = steps(chain, energy)
+    d = 2 * chain.m
+    q0 = np.eye(d, dtype=complex)
+    previous = None
+    for sweep in range(1, MAX_SWEEPS + 1):
+        qn, rs = _periodic_sweep(step_mats, q0)
+        closing = q0.conj().T @ qn
+        defect = np.array([np.max(np.abs(closing[p:, :p])) for p in range(1, d)])
+        converged = defect <= TOL_BOUNDARY
+        settled = converged if previous is None \
+            else converged | (defect * STALL_FACTOR > previous)
+        if settled.all():
+            break
+        previous, q0 = defect, qn
+    else:
+        return None, sweep
+    cuts = [0, *(p for p in range(1, d) if converged[p - 1]), d]
+    logs = []
+    # a zero or non-finite value turns into a non-finite log: fall back
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if hi - lo == 1:
+                # log z = sum_k log R_k[p, p] + log (Q_0^H Q_n)[p, p]
+                logs.append([np.sum(np.log(np.append(rs[:, lo, lo], closing[lo, lo])))])
+                continue
+            group = _group_log_eigenvalues(closing[lo:hi, lo:hi], rs[:, lo:hi, lo:hi])
+            if np.ptp(group.real) > MAX_GROUP_SPREAD:
+                return None, sweep
+            logs.append(group)
+    logs = np.concatenate(logs)
+    if not np.all(np.isfinite(logs)):
+        return None, sweep
+    return logs, sweep
+
+
 def eigenvalues_stabilized(chain: BlockChain, energy: complex) -> LogEigenvalues:
+    """Eigenvalues of T(E) in log-polar form by periodic QR, O(n m^3).
+
+    Each sweep runs one QR per site on 2m x 2m matrices (see
+    _eigenvalues_periodic).  log|z_k| sums log|R_k[p, p]| over the chain
+    and the phase sums their angles, so neither overflows at any chain
+    length.  When the iteration does not settle, a group of close moduli
+    spreads too wide or a value is not finite, the result comes from
+    eigenvalues_cyclic instead; ``route`` records which.
+    """
+    logs, sweeps = _eigenvalues_periodic(chain, energy)
+    if logs is None:
+        return replace(eigenvalues_cyclic(chain, energy), sweeps=sweeps)
+    la = logs.real
+    ph = np.array([wrap_phase(p) for p in logs.imag])
+    order = np.lexsort((ph, -la))
+    return LogEigenvalues(log_abs=la[order], phase=ph[order], n=chain.n,
+                          route="periodic", sweeps=sweeps)
+
+
+def eigenvalues_cyclic(chain: BlockChain, energy: complex) -> LogEigenvalues:
     """Eigenvalues of T(E) in log-polar form via the cyclic embedding.
 
     The block-cyclic matrix with the t_k on its sub-diagonal has
@@ -272,11 +389,11 @@ def eigenvalues_stabilized(chain: BlockChain, energy: complex) -> LogEigenvalues
         la = blocks.mean(axis=1)
         ph = np.array([_circular_mean(phases[i * n:(i + 1) * n]) for i in range(2 * m)])
         return LogEigenvalues(log_abs=la, phase=np.array([wrap_phase(p) for p in ph]),
-                              n=n, phase_reliable=False)
+                              n=n, phase_reliable=False, route="cyclic")
     la = np.array([g[0] for g in groups])
     ph = np.array([wrap_phase(g[1]) for g in groups])
     order = np.lexsort((ph, -la))
-    return LogEigenvalues(log_abs=la[order], phase=ph[order], n=n)
+    return LogEigenvalues(log_abs=la[order], phase=ph[order], n=n, route="cyclic")
 
 
 def _circular_mean(phases: np.ndarray) -> float:

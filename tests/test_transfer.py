@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from blockflow import (ProductOverflowError, eigenvalues_stabilized,
+from blockflow import (ProductOverflowError, eigenvalues_cyclic,
+                       eigenvalues_stabilized,
                        inverse_via_inversion, lu_logdet, match_spectra,
                        polynomial_coefficients, product,
                        stabilized_log_singular_values,
@@ -140,8 +141,9 @@ def test_eigenvalues_stabilized_long_chain():
 
 def test_eigenvalues_degenerate_replicas_fall_back():
     # at E = 0 the clean 4-site transfer matrix is the identity: all
-    # replicas coincide and phase clustering cannot resolve them
-    eig = eigenvalues_stabilized(clean_chain(4), 0.0)
+    # replicas of the cyclic embedding coincide and phase clustering
+    # cannot resolve them
+    eig = eigenvalues_cyclic(clean_chain(4), 0.0)
     assert not eig.phase_reliable
     assert np.allclose(eig.log_abs, 0.0, atol=1e-10)
 
