@@ -32,8 +32,7 @@ from .symmetry import (NotHermitianChainError, PairingReport,
                        sigma_form)
 from .transfer import (LogEigenvalues, ProductOverflowError, TransferMatrix,
                        eigenvalues_cyclic, eigenvalues_stabilized,
-                       inverse_via_inversion,
-                       polynomial_coefficients, product,
+                       logdet_t11, polynomial_coefficients, product,
                        stabilized_log_singular_values,
                        stabilized_singular_products, steps)
 

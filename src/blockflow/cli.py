@@ -212,18 +212,13 @@ def _cmd_verify(args) -> int:
     except (ResolventSingularError, CornerSingularError, ProductOverflowError) as exc:
         notices.append(f"transfer-routes skipped: {exc}")
 
-    try:
-        record(check_open_duality(chain, energy, tol_log=tol_log))
-    except ProductOverflowError as exc:
-        notices.append(f"open-duality skipped: {exc}")
+    record(check_open_duality(chain, energy, tol_log=tol_log))
 
     if chain.n >= 3:
         record(check_duality(chain, energy, z, tol_log=tol_log,
                              spectrum=spectrum))
-        try:
-            record(check_symmetric_duality(chain, energy, z, tol_log=tol_log))
-        except ProductOverflowError as exc:
-            notices.append(f"symmetric-duality skipped: {exc}")
+        record(check_symmetric_duality(chain, energy, z, tol_log=tol_log,
+                                       spectrum=spectrum))
     else:
         notices.append(
             "duality and symmetric-duality skipped: at n = 2 the ring "
@@ -237,7 +232,10 @@ def _cmd_verify(args) -> int:
                    "tol_log": 1e-8, "passed": bool(residual <= 1e-8)})
 
     if chain.is_hermitian():
-        record(check_symplectic(chain, energy), name="symplectic")
+        try:
+            record(check_symplectic(chain, energy), name="symplectic")
+        except ProductOverflowError as exc:
+            notices.append(f"symplectic skipped: {exc}")
         if abs(complex(energy).imag) >= 1e-8:
             record(check_unit_circle_exclusion(chain, energy, spectrum=spectrum),
                    name="unit-circle-exclusion")

@@ -32,10 +32,10 @@ from .chains import BlockChain
 from .exponents import ExponentSpectrum, shared_spectrum
 from .hamiltonian import (assemble_balanced, assemble_bloch, assemble_open,
                           log_minus_z, logdet_shift)
-from .linalg import (LogDet, logdet_blocks, lu_logdet, match_spectra,
-                     match_tolerance, wrap_phase)
+from .linalg import (LogDet, logdet_blocks, match_spectra, match_tolerance,
+                     wrap_phase)
 from .resolvent import transfer_from_resolvent
-from .transfer import ProductOverflowError, inverse_via_inversion, product
+from .transfer import LogEigenvalues, logdet_t11, product
 
 #: default acceptance tolerances for the identity checks
 TOL_LOG = 1e-7
@@ -103,27 +103,15 @@ def _require_ring(chain: BlockChain, who: str) -> None:
             "inner hoppings and the identity checks are skipped")
 
 
-def _logdet_zi_minus_t(chain: BlockChain, energy: complex, z: complex,
-                       spectrum: ExponentSpectrum | None) -> tuple[LogDet, str]:
-    """log det[zI - T(E)], via stabilized eigenvalues when the product is wild.
+def _logdet_zi_minus_t(eig: LogEigenvalues, z: complex) -> LogDet:
+    """log det[zI - T(E)] = sum_k log(z - z_k) from the eigenvalues of T.
 
-    Forming zI - T in doubles cancels catastrophically once the entries of T
-    dwarf det[zI - T], so the dense route is only trusted while the entries
-    stay moderate; overflow of the raw product is the hard backstop.  The
-    eigenvalues come from ``spectrum`` when one is given.
+    The z_k are known only in log-polar form, so this never forms T: it
+    holds at any chain length, and no difference of huge entries cancels.
     """
-    d = 2 * chain.m
-    try:
-        t = product(chain, energy).matrix
-        if float(np.max(np.abs(t))) <= 1e8:
-            return lu_logdet(z * np.eye(d) - t), "product"
-    except ProductOverflowError:
-        pass
-    eig = shared_spectrum(chain, energy, spectrum).eigenvalues
     total = LogDet(0.0, 0.0)
     log_z = math.log(abs(z))
     for la, ph in zip(eig.log_abs, eig.phase):
-        # log(z - z_k) with z_k known only in log-polar form
         if la - log_z > 45.0:
             # z_k dominates: log(-z_k) plus a relative correction
             ratio = cmath.exp(complex(log_z - la, cmath.phase(z) - ph))
@@ -135,10 +123,10 @@ def _logdet_zi_minus_t(chain: BlockChain, energy: complex, z: complex,
             zk = cmath.exp(complex(la, ph))
             diff = z - zk
             if diff == 0:
-                return LogDet(float("-inf"), 0.0), "eigenvalues"
+                return LogDet(float("-inf"), 0.0)
             term = cmath.log(diff)
         total = total * LogDet(term.real, wrap_phase(term.imag))
-    return total, "eigenvalues"
+    return total
 
 
 def check_duality(chain: BlockChain, energy: complex, z: complex,
@@ -147,8 +135,8 @@ def check_duality(chain: BlockChain, energy: complex, z: complex,
                   spectrum: ExponentSpectrum | None = None) -> DualityReport:
     """Compare det[zI - T(E)] det[B_1..B_n] with (-z)^m det[E - H(z)].
 
-    det[zI - T] falls back to the transfer eigenvalues when the product is
-    wild; those come from ``spectrum`` when one is given.
+    det[zI - T] comes from the transfer eigenvalues, taken from
+    ``spectrum`` when one is given.
     """
     _require_ring(chain, "check_duality")
     z = complex(z)
@@ -156,16 +144,16 @@ def check_duality(chain: BlockChain, energy: complex, z: complex,
         raise ValueError("z must be nonzero")
     if tol_phase is None:
         tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
-    lhs_t, route = _logdet_zi_minus_t(chain, energy, z, spectrum)
-    lhs = lhs_t * logdet_blocks(chain.b)
+    eig = shared_spectrum(chain, energy, spectrum).eigenvalues
+    lhs = _logdet_zi_minus_t(eig, z) * logdet_blocks(chain.b)
     if abs(math.log(abs(z))) < 230.0:
         ring = logdet_shift(assemble_bloch(chain, z), energy)
-        note = f"t_route={route}"
+        note = ""
     else:
         # extreme |z|: evaluate through the balanced gauge at w = z^{1/n}
         w = cmath.exp(cmath.log(z) / chain.n)
         ring = logdet_shift(assemble_balanced(chain, w), energy)
-        note = f"t_route={route}, ring_route=balanced"
+        note = "ring_route=balanced"
     rhs = log_minus_z(z, chain.m) * ring
     return _compare("duality", energy, z, lhs, rhs, tol_log, tol_phase, note)
 
@@ -177,26 +165,30 @@ def check_open_duality(chain: BlockChain, energy: complex,
     if tol_phase is None:
         tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
     lhs = logdet_shift(assemble_open(chain), energy)
-    t = product(chain, energy)
-    rhs = lu_logdet(t.t11) * logdet_blocks(chain.b)
+    rhs = logdet_t11(chain, energy) * logdet_blocks(chain.b)
     return _compare("open-duality", energy, None, lhs, rhs, tol_log, tol_phase)
 
 
 def check_symmetric_duality(chain: BlockChain, energy: complex, z: complex,
                             tol_log: float = TOL_LOG,
-                            tol_phase: float | None = None) -> DualityReport:
+                            tol_phase: float | None = None,
+                            spectrum: ExponentSpectrum | None = None) -> DualityReport:
     """Compare det[T + T^{-1} - (z + 1/z) I] with
-    det[E - H(z)] det[E - H(1/z)] / (det[B_1..B_n] det[C_1..C_n])."""
+    det[E - H(z)] det[E - H(1/z)] / (det[B_1..B_n] det[C_1..C_n]).
+
+    T + T^{-1} - (z + 1/z) I = T^{-1} (T - zI)(T - I/z), so the left side
+    is det[zI - T] det[I/z - T] / det T, all three from the transfer
+    eigenvalues, taken from ``spectrum`` when one is given.
+    """
     _require_ring(chain, "check_symmetric_duality")
     z = complex(z)
     if z == 0:
         raise ValueError("z must be nonzero")
     if tol_phase is None:
         tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
-    d = 2 * chain.m
-    t = product(chain, energy).matrix
-    t_inv = inverse_via_inversion(chain, energy).matrix
-    lhs = lu_logdet(t + t_inv - (z + 1.0 / z) * np.eye(d))
+    eig = shared_spectrum(chain, energy, spectrum).eigenvalues
+    det_t = LogDet(float(np.sum(eig.log_abs)), wrap_phase(float(np.sum(eig.phase))))
+    lhs = _logdet_zi_minus_t(eig, z) * _logdet_zi_minus_t(eig, 1.0 / z) / det_t
     rhs = (logdet_shift(assemble_bloch(chain, z), energy)
            * logdet_shift(assemble_bloch(chain, 1.0 / z), energy)
            / logdet_blocks(chain.b) / logdet_blocks(chain.c))

@@ -72,9 +72,7 @@ class ExponentSpectrum:
 
     def sum_rule_value(self, chain: BlockChain) -> float:
         """(1/n) sum_j (log|det C_j| - log|det B_j|), the exact sum of xi_k."""
-        logs = [lu_logdet(chain.c[k]).log_modulus - lu_logdet(chain.b[k]).log_modulus
-                for k in range(chain.n)]
-        return math.fsum(logs) / chain.n
+        return (logdet_blocks(chain.c) / logdet_blocks(chain.b)).log_modulus / chain.n
 
 
 def exponent_spectrum(chain: BlockChain, energy: complex,

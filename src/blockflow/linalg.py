@@ -109,10 +109,12 @@ class LogDet:
 def lu_logdet(a) -> LogDet:
     """Determinant of a square matrix as a LogDet, via pivoted LU.
 
-    An exactly zero pivot gives log_modulus = -inf rather than raising.
+    An exactly zero pivot gives log_modulus = -inf rather than raising (or,
+    as scipy.linalg.lu_factor would, warning): LAPACK getrf is called directly.
     """
     m = as_matrix(a)
-    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (m,))
+    lu, piv, _ = getrf(m)
     diag = np.diagonal(lu)
     if np.any(diag == 0):
         return LogDet(float("-inf"), 0.0)
@@ -185,11 +187,14 @@ def raise_first_singular(svals: np.ndarray, names, tol: float = TOL_INV) -> None
 
 
 def logdet_blocks(blocks) -> LogDet:
-    """det[X_1 X_2 ... X_n] for a stack of square matrices, as a LogDet."""
-    out = LogDet(0.0, 0.0)
-    for block in blocks:
-        out = out * lu_logdet(block)
-    return out
+    """det[X_1 X_2 ... X_n] for a stack of square matrices, as a LogDet.
+
+    One batched LU (numpy slogdet); a singular block has sign 0 and gives
+    log_modulus = -inf.  The signs are multiplied, not their angles summed,
+    so real blocks keep a phase of exactly 0 or pi.
+    """
+    sign, log_abs = np.linalg.slogdet(blocks)
+    return LogDet(float(np.sum(log_abs)), wrap_phase(float(np.angle(np.prod(sign)))))
 
 
 def match_tolerance(values: np.ndarray, scale: float = 1e-7) -> float:

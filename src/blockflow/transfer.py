@@ -8,10 +8,10 @@ The one-step matrix at energy E is
 and the n-step matrix is the ordered product T(E) = t_n ... t_1.  Entries
 of T grow like exp(n * xi_max), so alongside the plain product this module
 provides numerically stabilized routes: singular values accumulated in log
-space through a graded one-sided Jacobi factorization, and eigenvalues in
+space through a graded one-sided Jacobi factorization, eigenvalues in
 log-polar form through a periodic QR iteration (with the cyclic
-block-companion embedding as its fallback and oracle), none of which form
-the product itself.
+block-companion embedding as its fallback and oracle) and det T_11 from
+one sweep of the same iteration, none of which form the product itself.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .chains import BlockChain
-from .linalg import SingularMatrixError, as_matrix, wrap_phase
+from .linalg import LogDet, SingularMatrixError, lu_logdet, wrap_phase
 
 #: steps between re-orthogonalizations of the accumulated product
 K_QR = 8
@@ -101,24 +101,6 @@ def product(chain: BlockChain, energy: complex,
                     f"transfer product overflowed at step {k} of {chain.n}")
     return TransferMatrix(matrix=total, energy=complex(energy), m=chain.m,
                           provenance="product")
-
-
-def inverse_via_inversion(chain: BlockChain, energy: complex) -> TransferMatrix:
-    """T(E)^{-1} from the reversed chain.
-
-    The reversed chain's transfer matrix T^J satisfies
-    T^{-1} = sigma_x T^J sigma_x with sigma_x the block swap, so no
-    numerical inversion of T is involved.
-    """
-    m = chain.m
-    tj = product(chain.reversed(), energy).matrix
-    swapped = np.zeros_like(tj)
-    swapped[:m, :m] = tj[m:, m:]
-    swapped[:m, m:] = tj[m:, :m]
-    swapped[m:, :m] = tj[:m, m:]
-    swapped[m:, m:] = tj[:m, :m]
-    return TransferMatrix(matrix=swapped, energy=complex(energy), m=m,
-                          provenance="inverse")
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +251,33 @@ def _cyclic_embedding(chain: BlockChain, energy: complex) -> np.ndarray:
 def _periodic_sweep(step_mats: np.ndarray, q0: np.ndarray):
     """Solve t_k Q_{k-1} = Q_k R_k for k = 1..n; returns (Q_n, [R_k]).
 
-    Calls LAPACK geqrf/ungqr directly (the factorization numpy.linalg.qr
-    runs) to skip its per-call overhead, which dominates at 2m x 2m.
+    ``q0`` has p <= 2m orthonormal columns; the R_k come back in its shape,
+    zero below row p.  Calls LAPACK geqrf/ungqr directly (the factorization
+    numpy.linalg.qr runs) to skip its per-call overhead, which dominates at
+    2m x 2m.
     """
     geqrf, ungqr = scipy.linalg.get_lapack_funcs(("geqrf", "ungqr"), (step_mats,))
-    factors = np.empty_like(step_mats)
+    factors = np.empty((len(step_mats), *q0.shape), dtype=step_mats.dtype)
     q = q0
     for k, step in enumerate(step_mats):
         factors[k], tau, _, _ = geqrf(step @ q)
         q, _, _ = ungqr(factors[k], tau)
     return q, np.triu(factors)
+
+
+def logdet_t11(chain: BlockChain, energy: complex) -> LogDet:
+    """det T(E)_11 as a LogDet without forming T, O(n m^3).
+
+    One periodic QR sweep from Q_0 = [I_m; 0] factors the first block
+    column T[:, :m] = Q_n R_n ... R_1, so det T_11 = det(Q_n[:m]) times the
+    diagonals of the R_k, whose logs and angles are summed; nothing
+    overflows at any chain length.
+    """
+    m = chain.m
+    qn, rs = _periodic_sweep(steps(chain, energy), np.eye(2 * m, m, dtype=complex))
+    diag = np.diagonal(rs, axis1=1, axis2=2)
+    return lu_logdet(qn[:m]) * LogDet(float(np.sum(np.log(np.abs(diag)))),
+                                      wrap_phase(float(np.sum(np.angle(diag)))))
 
 
 def _group_log_eigenvalues(closing: np.ndarray, rs: np.ndarray) -> np.ndarray:

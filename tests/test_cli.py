@@ -105,6 +105,24 @@ def test_verify_computes_the_spectrum_once(tmp_path, capsys, monkeypatch,
     assert len(calls) == 1
 
 
+def test_verify_runs_every_identity_past_product_overflow(tmp_path, capsys):
+    # the plain product overflows at step 924: only the two checks that
+    # compare formed products are skipped, and the report is kept
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "hatano-nelson", "n": 1000, "interval": [-3.5, 3.5],
+                  "seed": 14},
+        "energy": [0.4, 0.9], "z": [1.7, -0.6]})
+    rc = main(["verify", "--config", cfg])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert [c["check"] for c in doc["checks"]] == [
+        "open-duality", "duality", "symmetric-duality", "exponent-sum-rule",
+        "unit-circle-exclusion"]
+    assert doc["notices"] == [
+        f"{name} skipped: transfer product overflowed at step 924 of 1000"
+        for name in ("transfer-routes", "symplectic")]
+
+
 def test_parser_is_built_once(tridiag_config, capsys, monkeypatch):
     import blockflow.cli as cli
 

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from blockflow import (assemble_bloch, check_duality, check_open_duality,
-                       check_symmetric_duality, check_transfer_routes,
-                       hatano_nelson, lu_logdet, product,
+from blockflow import (assemble_bloch, banded_random, check_duality,
+                       check_open_duality, check_symmetric_duality,
+                       check_transfer_routes, hatano_nelson, lu_logdet, product,
                        trace_spectral_curve)
 from blockflow.hamiltonian import log_minus_z
 from blockflow.linalg import wrap_phase
@@ -31,19 +31,29 @@ def test_duality_on_corpus():
 
 def test_open_duality_on_corpus():
     rng = np.random.default_rng(62)
-    for n, m, seed in [(3, 1, 5), (6, 2, 6), (4, 3, 7)]:
-        ch = random_chain(n, m, seed)
-        e = complex(rng.normal(), rng.normal())
+    cases = [(random_chain(n, m, seed), complex(rng.normal(), rng.normal()))
+             for n, m, seed in [(3, 1, 5), (6, 2, 6), (4, 3, 7)]]
+    # the plain product overflows at step 924 of the first chain; on the
+    # second its T_11 comes out with an exactly zero LU pivot
+    cases += [(hatano_nelson(1000, -3.5, 3.5, seed=14), 0.4 + 0.9j),
+              (banded_random(160, 4, -1.0, 1.0, seed=544724),
+               -0.822128 + 0.347989j)]
+    for ch, e in cases:
         rep = check_open_duality(ch, e)
         assert rep.passed, rep.to_dict()
 
 
 def test_symmetric_duality_on_corpus():
     rng = np.random.default_rng(63)
+    cases = []
     for n, m, seed in [(3, 1, 8), (5, 2, 9)]:
         ch = random_chain(n, m, seed)
         e = complex(rng.normal(), rng.normal())
         z = complex(1.1 + rng.uniform(0, 0.5), rng.uniform(-0.5, 0.5))
+        cases.append((ch, e, z))
+    # the plain product overflows at step 924
+    cases.append((hatano_nelson(1000, -3.5, 3.5, seed=14), 0.4 + 0.9j, 1.7 - 0.6j))
+    for ch, e, z in cases:
         rep = check_symmetric_duality(ch, e, z)
         assert rep.passed, rep.to_dict()
 
@@ -92,12 +102,11 @@ def test_duality_extreme_boundary_factor():
 
 
 def test_duality_product_overflow_fallback():
-    # long disordered chain: the plain product overflows and the check
-    # switches to stabilized eigenvalues transparently
+    # long disordered chain: the plain product overflows, the stabilized
+    # eigenvalues do not
     ch = hatano_nelson(700, -3.5, 3.5, seed=14)
     rep = check_duality(ch, 0.4 + 0.9j, 1.7 - 0.6j, tol_log=1e-5,
                         tol_phase=1e-3)
-    assert "eigenvalues" in rep.note
     assert rep.passed, rep.to_dict()
 
 

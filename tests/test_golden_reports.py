@@ -2,11 +2,10 @@
 
 Each case runs ``blockflow.cli.main`` on a pinned config and compares its
 stdout with ``tests/golden/<case>.out`` and its exit code with the table
-below.  The cases cover every route a report can take: the eigenvalue
-fallback of det[zI - T] (``t_route=eigenvalues``), the balanced ring at
-extreme |z| (``ring_route=balanced``), the Hermitian checks at complex and
-at real E, the n = 2 skip notice, a block size m = 3, the three exponent
-routes, the bounds report and a spectral-curve CSV.
+below.  The cases cover every route a report can take: the balanced ring
+at extreme |z| (``ring_route=balanced``), the Hermitian checks at complex
+and at real E, the n = 2 skip notice, a block size m = 3, the three
+exponent routes, the bounds report and a spectral-curve CSV.
 
 The golden files are per platform: the reports print every float in full
 (``repr``), so a different numpy/LAPACK build may change the last digits,
@@ -14,6 +13,10 @@ as the differing counts of acceptance criterion 10 between machines show.
 Regenerate them on a new platform, from a commit known to be correct, with
 
     PYTHONPATH=src python tests/test_golden_reports.py
+
+which rewrites only the cases whose report changed and prints, for each,
+every changed JSON field with its largest |delta| against the committed
+file (list entries collapse to ``[*]``, checks are named by ``check``).
 """
 
 import contextlib
@@ -89,6 +92,48 @@ def test_report_matches_golden(name, tmp_path):
     assert text == expected
 
 
+def _leaves(doc, path=""):
+    """(path, value) for every leaf of a JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for value in doc:
+            if isinstance(value, dict) and "check" in value:
+                yield from _leaves(value, f"{path}[{value['check']}]")
+            else:
+                yield from _leaves(value, f"{path}[*]")
+    else:
+        yield path, doc
+
+
+def changed_fields(old: str, new: str) -> list[str]:
+    """One line per changed field of two JSON reports: the field and its
+    largest |delta|, or its old and new values when they are not numbers."""
+    try:
+        old_doc, new_doc = json.loads(old), json.loads(new)
+    except json.JSONDecodeError:
+        old_lines, new_lines = old.splitlines(), new.splitlines()
+        moved = sum(a != b for a, b in zip(old_lines, new_lines))
+        moved += abs(len(old_lines) - len(new_lines))
+        return [f"{moved} of {len(new_lines)} lines (not JSON)"]
+    old_leaves, new_leaves = list(_leaves(old_doc)), list(_leaves(new_doc))
+    if [p for p, _ in old_leaves] != [p for p, _ in new_leaves]:
+        return ["fields added, removed or reordered"]
+    deltas: dict[str, float | str] = {}
+    for (path, a), (_, b) in zip(old_leaves, new_leaves):
+        if a == b:
+            continue
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      for v in (a, b))
+        if numbers:
+            deltas[path] = max(deltas.get(path, 0.0), abs(b - a))
+        else:
+            deltas[path] = f"{a!r} -> {b!r}"
+    return [f"{path} {d:.1e}" if isinstance(d, float) else f"{path} {d}"
+            for path, d in deltas.items()]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -98,6 +143,15 @@ if __name__ == "__main__":
             code, report = run_case(case, tmp)
             if code != CASES[case][2]:
                 sys.exit(f"{case}: exit code {code}, expected {CASES[case][2]}")
-            with open(golden_path(case), "w", encoding="utf-8", newline="") as fh:
+            path = golden_path(case)
+            old = None
+            if os.path.exists(path):
+                with open(path, "r", encoding="utf-8", newline="") as fh:
+                    old = fh.read()
+            if old == report:
+                continue
+            with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(report)
-            print(f"wrote {golden_path(case)}")
+            print(f"wrote {path}")
+            for line in ([] if old is None else changed_fields(old, report)):
+                print(f"  {line}")

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from blockflow import (LogDet, SingularMatrixError, condition_number,
-                       eigenvalues, lu_logdet, match_spectra,
+                       eigenvalues, logdet_blocks, lu_logdet, match_spectra,
                        singular_values, wrap_phase)
 from blockflow.linalg import require_invertible, sort_by_modulus
 
@@ -47,6 +48,26 @@ def test_lu_logdet_exact_zero():
     ld = lu_logdet(a)
     assert ld.is_zero
     assert ld.value == 0.0
+    # a zero pivot is a result here, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lu_logdet(np.ones((2, 2))).log_modulus == -math.inf
+
+
+def test_logdet_blocks_is_the_product_of_block_determinants():
+    rng = np.random.default_rng(12)
+    blocks = rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3))
+    want = LogDet(0.0, 0.0)
+    for block in blocks:
+        want = want * lu_logdet(block)
+    got = logdet_blocks(blocks)
+    assert got.log_modulus == pytest.approx(want.log_modulus, abs=1e-12)
+    assert wrap_phase(got.phase - want.phase) == pytest.approx(0.0, abs=1e-12)
+    # real blocks keep an exact phase; one singular block zeroes the product
+    reflections = np.diag([-1.0, 1.0])[None].repeat(41, axis=0)
+    assert logdet_blocks(reflections) == LogDet(0.0, math.pi)
+    blocks[7] = 0.0
+    assert logdet_blocks(blocks).is_zero
 
 
 def test_logdet_value_roundtrip():

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from blockflow import (ProductOverflowError, eigenvalues_cyclic,
-                       eigenvalues_stabilized,
-                       inverse_via_inversion, lu_logdet, match_spectra,
-                       polynomial_coefficients, product,
+                       eigenvalues_stabilized, logdet_t11, lu_logdet,
+                       match_spectra, polynomial_coefficients, product,
                        stabilized_log_singular_values,
                        stabilized_singular_products, steps)
 from blockflow.chains import BlockChain
-from blockflow.linalg import SingularMatrixError, sort_by_modulus
+from blockflow.linalg import SingularMatrixError, sort_by_modulus, wrap_phase
 
 from conftest import clean_chain, hermitian_chain, random_chain
 
@@ -60,12 +59,24 @@ def test_determinant_law():
 
 
 def test_inverse_via_reversed_chain():
+    # T^{-1} = sigma T^J sigma: T^J of the reversed chain, sigma the block swap
     for n, m, seed in [(5, 1, 7), (4, 2, 8)]:
         ch = random_chain(n, m, seed)
         e = 0.9 + 0.4j
         t = product(ch, e).matrix
-        t_inv = inverse_via_inversion(ch, e).matrix
+        sigma = np.roll(np.eye(2 * m), m, axis=0)
+        t_inv = sigma @ product(ch.reversed(), e).matrix @ sigma
         assert np.allclose(t @ t_inv, np.eye(2 * m), atol=1e-8)
+
+
+def test_logdet_t11_matches_the_product():
+    for n, m, seed in [(3, 1, 30), (7, 2, 31), (5, 3, 32)]:
+        ch = random_chain(n, m, seed)
+        e = 0.35 - 0.7j
+        want = lu_logdet(product(ch, e).t11)
+        got = logdet_t11(ch, e)
+        assert got.log_modulus == pytest.approx(want.log_modulus, abs=1e-10)
+        assert wrap_phase(got.phase - want.phase) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_stabilized_singulars_match_dense_svd():
