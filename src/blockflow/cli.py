@@ -34,6 +34,7 @@ from .duality import (TOL_LOG, SpectralCurve, check_duality, check_open_duality,
                       check_symmetric_duality, check_transfer_routes,
                       trace_spectral_curve)
 from .exponents import exponent_csv, exponent_spectrum, jensen_identity_check
+from .linalg import EigenConvergenceError
 from .resolvent import CornerSingularError, ResolventSingularError
 from .symmetry import check_symplectic, check_unit_circle_exclusion, detect_pairings
 from .transfer import ProductOverflowError
@@ -474,9 +475,10 @@ def main(argv=None) -> int:
             if getattr(args, flag, None) is not None:
                 _require_finite(getattr(args, flag), "--" + flag.replace("_", "-"))
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, EigenConvergenceError) as exc:
         # InputError, singular blocks or corners, contours through an
-        # exponent, product overflow and values beyond double range
+        # exponent, product overflow, values beyond double range and
+        # iterations that did not converge
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

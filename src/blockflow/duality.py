@@ -12,7 +12,9 @@ det[B_1 ... B_n], and the symmetrized form couples z and 1/z:
 
 All comparisons happen between LogDet values: log-modulus residuals are
 scale free, and phases are compared modulo 2 pi with a looser tolerance
-(phase error grows with the LU size).
+(phase error grows with the LU size).  Ring and open determinants come
+from band LUs (ring_band, logdet_open); the dense assemblers are their
+oracles.
 
 The spectral-curve tracer sweeps the flux angle phi at fixed radial
 exponent xi and links the eigenvalue trajectories of the balanced ring
@@ -30,8 +32,7 @@ import numpy as np
 
 from .chains import BlockChain
 from .exponents import ExponentSpectrum, shared_spectrum
-from .hamiltonian import (assemble_balanced, assemble_bloch, assemble_open,
-                          log_minus_z, logdet_shift)
+from .hamiltonian import assemble_balanced, log_minus_z, logdet_open, ring_band
 from .linalg import (LogDet, logdet_blocks, match_spectra, match_tolerance,
                      wrap_phase)
 from .resolvent import transfer_from_resolvent
@@ -136,7 +137,9 @@ def check_duality(chain: BlockChain, energy: complex, z: complex,
     """Compare det[zI - T(E)] det[B_1..B_n] with (-z)^m det[E - H(z)].
 
     det[zI - T] comes from the transfer eigenvalues, taken from
-    ``spectrum`` when one is given.
+    ``spectrum`` when one is given; det[E - H(z)] from the folded band of
+    the balanced ring at w = z^{1/n}, which is similar to H(z) and stays
+    in range at any |z|.
     """
     _require_ring(chain, "check_duality")
     z = complex(z)
@@ -146,16 +149,9 @@ def check_duality(chain: BlockChain, energy: complex, z: complex,
         tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
     eig = shared_spectrum(chain, energy, spectrum).eigenvalues
     lhs = _logdet_zi_minus_t(eig, z) * logdet_blocks(chain.b)
-    if abs(math.log(abs(z))) < 230.0:
-        ring = logdet_shift(assemble_bloch(chain, z), energy)
-        note = ""
-    else:
-        # extreme |z|: evaluate through the balanced gauge at w = z^{1/n}
-        w = cmath.exp(cmath.log(z) / chain.n)
-        ring = logdet_shift(assemble_balanced(chain, w), energy)
-        note = "ring_route=balanced"
+    ring = ring_band(chain, energy).logdet(cmath.exp(cmath.log(z) / chain.n))
     rhs = log_minus_z(z, chain.m) * ring
-    return _compare("duality", energy, z, lhs, rhs, tol_log, tol_phase, note)
+    return _compare("duality", energy, z, lhs, rhs, tol_log, tol_phase)
 
 
 def check_open_duality(chain: BlockChain, energy: complex,
@@ -164,7 +160,7 @@ def check_open_duality(chain: BlockChain, energy: complex,
     """Compare det[E - h] with det T(E)_11 * det[B_1..B_n]."""
     if tol_phase is None:
         tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
-    lhs = logdet_shift(assemble_open(chain), energy)
+    lhs = logdet_open(chain, energy)
     rhs = logdet_t11(chain, energy) * logdet_blocks(chain.b)
     return _compare("open-duality", energy, None, lhs, rhs, tol_log, tol_phase)
 
@@ -178,7 +174,8 @@ def check_symmetric_duality(chain: BlockChain, energy: complex, z: complex,
 
     T + T^{-1} - (z + 1/z) I = T^{-1} (T - zI)(T - I/z), so the left side
     is det[zI - T] det[I/z - T] / det T, all three from the transfer
-    eigenvalues, taken from ``spectrum`` when one is given.
+    eigenvalues, taken from ``spectrum`` when one is given.  Both ring
+    determinants come from one folded band, at w = z^{1/n} and 1/w.
     """
     _require_ring(chain, "check_symmetric_duality")
     z = complex(z)
@@ -189,8 +186,9 @@ def check_symmetric_duality(chain: BlockChain, energy: complex, z: complex,
     eig = shared_spectrum(chain, energy, spectrum).eigenvalues
     det_t = LogDet(float(np.sum(eig.log_abs)), wrap_phase(float(np.sum(eig.phase))))
     lhs = _logdet_zi_minus_t(eig, z) * _logdet_zi_minus_t(eig, 1.0 / z) / det_t
-    rhs = (logdet_shift(assemble_bloch(chain, z), energy)
-           * logdet_shift(assemble_bloch(chain, 1.0 / z), energy)
+    band = ring_band(chain, energy)
+    w = cmath.exp(cmath.log(z) / chain.n)
+    rhs = (band.logdet(w) * band.logdet(1.0 / w)
            / logdet_blocks(chain.b) / logdet_blocks(chain.c))
     return _compare("symmetric-duality", energy, z, lhs, rhs, tol_log, tol_phase)
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import BlockChain
-from .hamiltonian import assemble_balanced, logdet_shift
-from .linalg import logdet_blocks, lu_logdet
+from .hamiltonian import ring_band
+from .linalg import logdet_blocks
 from .transfer import (LogEigenvalues, eigenvalues_cyclic, eigenvalues_stabilized,
                        product)
 
@@ -127,15 +127,16 @@ def _flux_values(chain: BlockChain, energy: complex, xi: float,
     """log|det[H(e^{n xi + i phi_j}) - E]| at phi_j = 2 pi j / quad_points.
 
     Evaluated through the balanced gauge, which is similar to H(z) with
-    entries O(e^{|xi|}); the trapezoid rule (their mean) on a periodic
-    analytic integrand converges geometrically to the flux average.
+    entries O(e^{|xi|}), as one folded band LU per node (see ring_band);
+    the trapezoid rule (their mean) on a periodic analytic integrand
+    converges geometrically to the flux average.
     """
     n = chain.n
+    band = ring_band(chain, energy)
     values = []
     for j in range(quad_points):
         phi = 2.0 * math.pi * j / quad_points
-        w = cmath.exp(complex(xi, phi / n))
-        ld = logdet_shift(assemble_balanced(chain, w), energy)
+        ld = band.logdet(cmath.exp(complex(xi, phi / n)))
         if ld.is_zero:
             raise ContourTooCloseError(
                 f"det[H - E] vanished on the contour at phi={phi:.6f}; "
@@ -275,17 +276,15 @@ def hadamard_fisher_bound(chain: BlockChain, energy: complex,
     n, m = chain.n, chain.m
     spectrum = exponent_spectrum(chain, energy)
     lhs = math.fsum(float(xi - x) for x in spectrum.xi if x < xi) - m * xi
-    e2 = math.exp(2.0 * xi)
-    em2 = math.exp(-2.0 * xi)
-    eye = np.eye(m)
-    terms = []
-    for k in range(n):
-        shifted = chain.a[k] - energy * eye
-        gram = (shifted.conj().T @ shifted
-                + e2 * chain.b[k].conj().T @ chain.b[k]
-                + em2 * chain.c[k].conj().T @ chain.c[k])
-        terms.append(lu_logdet(gram).log_modulus)
-    rhs = math.fsum(terms) / (2.0 * n) - logdet_blocks(chain.c).log_modulus / n
+
+    def gram(x):
+        return np.swapaxes(x.conj(), 1, 2) @ x
+
+    # all n site grams stacked, one batched determinant
+    grams = (gram(chain.a - energy * np.eye(m)) + math.exp(2.0 * xi) * gram(chain.b)
+             + math.exp(-2.0 * xi) * gram(chain.c))
+    rhs = (logdet_blocks(grams).log_modulus / (2.0 * n)
+           - logdet_blocks(chain.c).log_modulus / n)
     slack = rhs - lhs
     return HadamardFisherReport(energy=complex(energy), xi=float(xi),
                                 lhs=lhs, rhs=rhs, slack=slack,

@@ -18,6 +18,8 @@ import scipy.linalg
 
 TAU = 2.0 * math.pi
 
+_zgbtrf = scipy.linalg.lapack.zgbtrf
+
 #: relative tolerance for invertibility and eigenvalue checks
 TOL_INV = 1e-10
 TOL_EIG = 1e-10
@@ -115,7 +117,26 @@ def lu_logdet(a) -> LogDet:
     m = as_matrix(a)
     getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (m,))
     lu, piv, _ = getrf(m)
-    diag = np.diagonal(lu)
+    return _logdet_from_lu(np.diagonal(lu), piv)
+
+
+def band_logdet(ab: np.ndarray, kl: int, ku: int) -> LogDet:
+    """Determinant of a banded matrix as a LogDet, via LAPACK gbtrf.
+
+    ``ab`` holds the matrix in general-band storage with the kl workspace
+    rows gbtrf needs on top (entry (i, j) at ab[kl + ku + i - j, j]); a
+    complex Fortran-ordered array is factored in place.  Same sign rule and
+    zero-pivot convention as lu_logdet.
+    """
+    lu, piv, info = _zgbtrf(ab, kl, ku, overwrite_ab=True)
+    if info < 0:
+        raise ValueError(f"gbtrf rejected argument {-info}")
+    # the diagonal of U sits in row kl + ku of the factored storage
+    return _logdet_from_lu(lu[kl + ku], piv)
+
+
+def _logdet_from_lu(diag: np.ndarray, piv: np.ndarray) -> LogDet:
+    """det from the diagonal of U and the 0-based row pivots of an LU."""
     if np.any(diag == 0):
         return LogDet(float("-inf"), 0.0)
     log_modulus = float(np.sum(np.log(np.abs(diag))))

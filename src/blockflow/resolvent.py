@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .chains import BlockChain
+from .hamiltonian import open_band
 from .linalg import as_matrix, singular_values
 from .transfer import TransferMatrix, product
 
@@ -51,25 +52,6 @@ class ResolventCorners:
     cond_estimate: float
 
 
-def _banded_storage(chain: BlockChain, energy: complex):
-    """(h - E) in LAPACK general-banded storage for gbtrf."""
-    n, m = chain.n, chain.m
-    kl = ku = 2 * m - 1
-    ab = np.zeros((2 * kl + ku + 1, n * m), dtype=complex)
-    shifted = chain.a.copy()
-    diag = np.arange(m)
-    shifted[:, diag, diag] -= energy
-    # entry (i, j) of h - E sits at ab[kl + ku + i - j, j]; block (k, k')
-    # covers i = k m + r, j = k' m + s
-    r = diag[:, None]
-    s = diag[None, :]
-    k = np.arange(n)[:, None, None]
-    ab[kl + ku + r - s, k * m + s] = shifted
-    ab[kl + ku - m + r - s, (k[:-1] + 1) * m + s] = chain.b[:-1]
-    ab[kl + ku + m + r - s, k[:-1] * m + s] = chain.c[1:]
-    return ab, kl, ku
-
-
 def _cond_estimate(solve, matvec_norm: float, size: int, iters: int = 10) -> float:
     """Rough 2-norm condition estimate via inverse power iteration.
 
@@ -99,7 +81,8 @@ def corner_blocks(chain: BlockChain, energy: complex) -> ResolventCorners:
     """
     n, m = chain.n, chain.m
     size = n * m
-    ab, kl, ku = _banded_storage(chain, energy)
+    band, kl, ku = open_band(chain, energy)
+    ab = 0.0 - band  # h - E, with +0.0 in the unused storage
     gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     lu, piv, info = gbtrf(ab, kl, ku)
     if info != 0:

@@ -24,15 +24,16 @@ import numpy as np
 import scipy.linalg
 
 from .chains import BlockChain
-from .linalg import LogDet, SingularMatrixError, lu_logdet, wrap_phase
+from .linalg import (EigenConvergenceError, LogDet, SingularMatrixError,
+                     lu_logdet, wrap_phase)
 
 #: steps between re-orthogonalizations of the accumulated product
 K_QR = 8
 
 #: periodic QR: a boundary has converged once its defect is at most this
 TOL_BOUNDARY = 1e-12
-#: periodic QR: a boundary has stalled once a sweep shrinks its defect less
-#: than this factor
+#: periodic QR: a boundary has stalled once two consecutive sweeps each
+#: shrink its defect less than this factor
 STALL_FACTOR = 100.0
 #: periodic QR: sweeps before falling back to the cyclic embedding
 MAX_SWEEPS = 32
@@ -147,7 +148,7 @@ def _orthogonalize_graded(cols: np.ndarray, logs: np.ndarray,
                 u = col_j - (t_over_r * phase) * col_i
                 nu = float(np.linalg.norm(u))
                 if nu <= 1e-14 or nv <= 1e-14:
-                    raise RuntimeError(
+                    raise EigenConvergenceError(
                         "graded Jacobi lost a direction: columns collapsed "
                         "numerically; re-orthogonalize more often")
                 cols[:, i] = v / nv
@@ -156,7 +157,7 @@ def _orthogonalize_graded(cols: np.ndarray, logs: np.ndarray,
                 logs[j] += math.log(c_t * nu)
         if not rotated:
             return
-    raise RuntimeError("graded Jacobi orthogonalization did not converge")
+    raise EigenConvergenceError("graded Jacobi orthogonalization did not converge")
 
 
 def stabilized_log_singular_values(chain: BlockChain, energy: complex,
@@ -303,26 +304,28 @@ def _eigenvalues_periodic(chain: BlockChain, energy: complex):
     tends to upper triangular form, as in the unshifted QR algorithm, but
     without forming T.  Boundary p has the defect max|(Q_0^H Q_n)[p:, :p]|;
     it converges at rate |z_{p+1} / z_p| per sweep, so moduli separated by
-    e^{n dxi} settle within a few sweeps.  Eigenvalues between boundaries
-    that stalled (equal or close moduli, such as unit-circle pairs) stay
-    together in one group and come from its diagonal block.  None asks for
-    the cyclic fallback: a boundary still converging after MAX_SWEEPS, a
-    group spread beyond MAX_GROUP_SPREAD or a non-finite value.
+    e^{n dxi} settle within a few sweeps.  A boundary has stalled once two
+    consecutive sweeps each shrank its defect less than STALL_FACTOR (equal
+    or close moduli, such as unit-circle pairs); eigenvalues between stalled
+    boundaries stay together in one group and come from its diagonal block.
+    None asks for the cyclic fallback: a boundary still converging after
+    MAX_SWEEPS, a group spread beyond MAX_GROUP_SPREAD or a non-finite value.
     """
     step_mats = steps(chain, energy)
     d = 2 * chain.m
     q0 = np.eye(d, dtype=complex)
-    previous = None
+    previous = np.full(d - 1, np.inf)
+    was_slow = np.zeros(d - 1, dtype=bool)
     for sweep in range(1, MAX_SWEEPS + 1):
         qn, rs = _periodic_sweep(step_mats, q0)
         closing = q0.conj().T @ qn
         defect = np.array([np.max(np.abs(closing[p:, :p])) for p in range(1, d)])
         converged = defect <= TOL_BOUNDARY
-        settled = converged if previous is None \
-            else converged | (defect * STALL_FACTOR > previous)
-        if settled.all():
+        # one slow sweep can be a transient; two in a row are a stall
+        is_slow = defect * STALL_FACTOR > previous
+        if (converged | (was_slow & is_slow)).all():
             break
-        previous, q0 = defect, qn
+        previous, was_slow, q0 = defect, is_slow, qn
     else:
         return None, sweep
     cuts = [0, *(p for p in range(1, d) if converged[p - 1]), d]

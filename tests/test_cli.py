@@ -335,3 +335,20 @@ def test_nonfinite_sentinels_in_json():
     assert doc["e"] == [1.0, 2.0]
     assert doc["f"] == [1.0, 2.0]
     json.dumps(doc)
+
+
+def test_jacobi_non_convergence_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # no Jacobi sweep allowed: the graded orthogonalization cannot converge
+    from blockflow import transfer
+
+    monkeypatch.setattr(transfer._orthogonalize_graded, "__defaults__", (1e-15, 0))
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "random-tridiag", "n": 48, "seed": 11,
+                  "interval": [-2, 2]},
+        "energy": [0.2, 1.0]})
+    rc = main(["bounds", "--config", cfg])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: graded Jacobi orthogonalization did not "
+                            "converge\n")

@@ -1,3 +1,4 @@
+import cmath
 import io
 import math
 
@@ -138,6 +139,19 @@ def test_positive_sum_rejects_unit_circle():
         positive_exponent_sum(clean_chain(8), 0.5)
 
 
+def test_flux_values_match_a_dense_loop():
+    from blockflow import anderson_strip, assemble_balanced, logdet_shift
+    from blockflow.exponents import _flux_values
+
+    ch = anderson_strip(5, 3, 2.0, seed=3)
+    e, xi, nodes = 0.2 + 0.5j, 0.15, 64
+    got = _flux_values(ch, e, xi, nodes)
+    want = [logdet_shift(assemble_balanced(
+                ch, cmath.exp(complex(xi, 2.0 * math.pi * j / nodes / ch.n))), e).log_modulus
+            for j in range(nodes)]
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-9
+
+
 def test_hadamard_fisher_on_corpus():
     rng = np.random.default_rng(99)
     for n, m, seed in [(4, 1, 100), (6, 2, 101), (5, 3, 102)]:
@@ -147,6 +161,22 @@ def test_hadamard_fisher_on_corpus():
             rep = hadamard_fisher_bound(ch, e, xi)
             assert rep.passed, rep.to_dict()
             assert rep.slack >= -1e-12
+
+
+def test_hadamard_fisher_matches_a_per_site_loop():
+    from blockflow import logdet_blocks, lu_logdet
+
+    ch = random_chain(7, 3, seed=105)
+    e, xi = 0.4 - 0.6j, 0.3
+    terms = []
+    for k in range(ch.n):
+        shifted = ch.a[k] - e * np.eye(ch.m)
+        gram = (shifted.conj().T @ shifted
+                + math.exp(2 * xi) * ch.b[k].conj().T @ ch.b[k]
+                + math.exp(-2 * xi) * ch.c[k].conj().T @ ch.c[k])
+        terms.append(lu_logdet(gram).log_modulus)
+    want = math.fsum(terms) / (2 * ch.n) - logdet_blocks(ch.c).log_modulus / ch.n
+    assert hadamard_fisher_bound(ch, e, xi).rhs == pytest.approx(want, abs=1e-12)
 
 
 def test_hadamard_fisher_clean_chain_value():

@@ -2,10 +2,12 @@
 
 Each case runs ``blockflow.cli.main`` on a pinned config and compares its
 stdout with ``tests/golden/<case>.out`` and its exit code with the table
-below.  The cases cover every route a report can take: the balanced ring
-at extreme |z| (``ring_route=balanced``), the Hermitian checks at complex
-and at real E, the n = 2 skip notice, a block size m = 3, the three
-exponent routes, the bounds report and a spectral-curve CSV.
+below.  The cases cover every route a report can take: a ring
+determinant at extreme |z| (z = 1e120; it takes the same folded band
+route as every other z and no longer selects a ring route of its own),
+the Hermitian checks at complex and at real E, the n = 2 skip notice, a
+block size m = 3, the three exponent routes, the bounds report and a
+spectral-curve CSV.
 
 The golden files are per platform: the reports print every float in full
 (``repr``), so a different numpy/LAPACK build may change the last digits,

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockflow import (assemble_balanced, assemble_bloch, assemble_open,
                        logdet_shift)
-from blockflow.hamiltonian import log_minus_z
+from blockflow.hamiltonian import log_minus_z, logdet_open, ring_band
 from blockflow.linalg import LogDet, wrap_phase
 
-from conftest import clean_chain, random_chain
+from conftest import clean_chain, hermitian_chain, random_chain
 
 
 def test_two_site_ring_sums_corners():
@@ -97,3 +98,55 @@ def test_log_minus_z_prefactor():
             got = log_minus_z(z, m)
             assert got.log_modulus == pytest.approx(want.log_modulus, abs=1e-12)
             assert wrap_phase(got.phase - want.phase) == pytest.approx(0.0, abs=1e-12)
+
+
+def assert_same_logdet(got, want):
+    assert got.log_modulus == pytest.approx(want.log_modulus, abs=1e-9)
+    assert wrap_phase(got.phase - want.phase) == pytest.approx(0.0, abs=1e-9)
+
+
+chains = st.builds(lambda hermitian, n, m, seed:
+                   hermitian_chain(n, m, seed) if hermitian else random_chain(n, m, seed),
+                   st.booleans(), st.integers(2, 8), st.integers(1, 3),
+                   st.integers(0, 10**6))
+energies = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(chain=chains, energy=energies, log_w=st.floats(-3.0, 3.0),
+       arg_w=st.floats(-math.pi, math.pi))
+def test_folded_ring_band_matches_dense(chain, energy, log_w, arg_w):
+    # the folded band (n = 2: corners summed onto the inner hoppings)
+    # against the dense balanced matrix and the dense ring it is similar to
+    w = cmath.exp(complex(log_w, arg_w))
+    got = ring_band(chain, energy).logdet(w)
+    assert_same_logdet(got, logdet_shift(assemble_balanced(chain, w), energy))
+    assert_same_logdet(got, logdet_shift(assemble_bloch(chain, w ** chain.n), energy))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(chain=chains, energy=energies)
+def test_open_band_matches_dense(chain, energy):
+    assert_same_logdet(logdet_open(chain, energy),
+                       logdet_shift(assemble_open(chain), energy))
+
+
+def test_ring_band_at_extreme_boundary_factor():
+    # the verify-hatano-nelson-z1e120 golden case: z = 1e120 enters only
+    # through w = z^(1/n) = 1e2, where the dense balanced matrix is the oracle
+    from blockflow import hatano_nelson
+
+    chain = hatano_nelson(60, -3.5, 3.5, seed=14)
+    energy = 0.4 + 0.9j
+    w = cmath.exp(cmath.log(1e120) / chain.n)
+    band = ring_band(chain, energy)
+    for root in (w, 1.0 / w):
+        assert_same_logdet(band.logdet(root),
+                           logdet_shift(assemble_balanced(chain, root), energy))
+
+
+def test_band_logdet_exact_zero():
+    # E = 0 on the clean ring H(1): eigenvalues 2 cos(2 pi k / 4) include 0
+    ld = ring_band(clean_chain(4), 0.0).logdet(1.0)
+    assert ld.is_zero
+    assert logdet_open(clean_chain(3), 0.0).is_zero

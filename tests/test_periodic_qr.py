@@ -75,6 +75,17 @@ def test_long_chain_meets_the_sum_rule():
     assert math.fsum(got.log_abs) == pytest.approx(sum_rule(chain), abs=1e-8)
 
 
+def test_one_slow_sweep_does_not_stall_a_boundary():
+    # short-corpus pool entry corpus-0015: after sweep 2 one boundary has
+    # shrunk only 96x (STALL_FACTOR is 100) but is still converging; merging
+    # across it gave a group spread of 11.5 and the cyclic fallback
+    chain = anderson_strip(6, 3, 1.136, seed=44522)
+    energy = 1.433106 + 0.806821j
+    got = eigenvalues_stabilized(chain, energy)
+    assert got.route == "periodic"
+    assert_same_moduli(got, eigenvalues_cyclic(chain, energy), 1e-9)
+
+
 @pytest.mark.parametrize("constant, value", [("MAX_SWEEPS", 1),
                                              ("MAX_GROUP_SPREAD", -1.0)])
 def test_forced_fallback_uses_the_cyclic_route(monkeypatch, constant, value):
