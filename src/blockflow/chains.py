@@ -74,13 +74,11 @@ class BlockChain:
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         """Structural check: A_k Hermitian, C_{k+1} = B_k^dag cyclically."""
         scale = max(1.0, float(max(np.max(np.abs(self.a)), np.max(np.abs(self.b)))))
-        for k in range(self.n):
-            if np.max(np.abs(self.a[k] - self.a[k].conj().T)) > tol * scale:
-                return False
-            partner = self.c[(k + 1) % self.n]
-            if np.max(np.abs(partner - self.b[k].conj().T)) > tol * scale:
-                return False
-        return True
+        a_defect = np.max(np.abs(self.a - np.swapaxes(self.a.conj(), 1, 2)))
+        # np.roll(c, -1)[k] is C_{k+1}, the partner of B_k
+        c_defect = np.max(np.abs(np.roll(self.c, -1, axis=0)
+                                 - np.swapaxes(self.b.conj(), 1, 2)))
+        return bool(max(a_defect, c_defect) <= tol * scale)
 
     def reversed(self) -> "BlockChain":
         """The chain traversed in the opposite direction.

@@ -56,7 +56,7 @@ class ExponentSpectrum:
     """Exponents xi_k with the eigenvalues they came from.
 
     ``method`` names the route that produced them: "periodic", "cyclic"
-    (also when the periodic iteration fell back) or "direct".
+    or "direct", as passed to exponent_spectrum.
     """
 
     xi: np.ndarray
@@ -80,11 +80,11 @@ def exponent_spectrum(chain: BlockChain, energy: complex,
     """All 2m exponents of T(E), descending.
 
     ``method`` selects the eigenvalue route: "periodic" (periodic QR,
-    default for every size, falling back to the cyclic embedding when it
-    does not settle), "cyclic" (the dense cyclic embedding, kept as an
-    oracle route), "direct" (plain eigensolve of the formed product; small
-    chains only, kept as an oracle route).  The spectrum's ``method`` names
-    the route that produced the values.
+    O(n m^3), the default for every size), "cyclic" (the dense cyclic
+    embedding, an oracle route only, never a fallback), "direct" (plain
+    eigensolve of the formed product; small chains only, kept as an oracle
+    route).  Each route names itself, so the spectrum's ``method`` is
+    ``method``.
     """
     if method == "direct":
         t = product(chain, energy).matrix
@@ -92,7 +92,7 @@ def exponent_spectrum(chain: BlockChain, energy: complex,
         order = np.argsort(-np.abs(vals), kind="stable")
         vals = vals[order]
         eig = LogEigenvalues(log_abs=np.log(np.abs(vals)),
-                             phase=np.angle(vals), n=chain.n, route="direct")
+                             phase=np.angle(vals), n=chain.n)
     elif method == "cyclic":
         eig = eigenvalues_cyclic(chain, energy)
     elif method == "periodic":
@@ -101,7 +101,7 @@ def exponent_spectrum(chain: BlockChain, energy: complex,
         raise ValueError(f"unknown method {method!r}")
     return ExponentSpectrum(xi=eig.xi.copy(), eigenvalues=eig,
                             energy=complex(energy), n=chain.n, m=chain.m,
-                            method=eig.route)
+                            method=method)
 
 
 def shared_spectrum(chain: BlockChain, energy: complex,

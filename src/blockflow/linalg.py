@@ -20,9 +20,8 @@ TAU = 2.0 * math.pi
 
 _zgbtrf = scipy.linalg.lapack.zgbtrf
 
-#: relative tolerance for invertibility and eigenvalue checks
+#: relative tolerance for invertibility checks
 TOL_INV = 1e-10
-TOL_EIG = 1e-10
 
 
 class SingularMatrixError(ValueError):

@@ -9,16 +9,17 @@ and the n-step matrix is the ordered product T(E) = t_n ... t_1.  Entries
 of T grow like exp(n * xi_max), so alongside the plain product this module
 provides numerically stabilized routes: singular values accumulated in log
 space through a graded one-sided Jacobi factorization, eigenvalues in
-log-polar form through a periodic QR iteration (with the cyclic
-block-companion embedding as its fallback and oracle) and det T_11 from
-one sweep of the same iteration, none of which form the product itself.
+log-polar form through a periodic QR iteration and det T_11 from one
+sweep of the same iteration, none of which form the product itself.  The
+cyclic block-companion embedding is kept as the eigenvalue oracle; no
+run-time route falls back to it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -35,11 +36,8 @@ TOL_BOUNDARY = 1e-12
 #: periodic QR: a boundary has stalled once two consecutive sweeps each
 #: shrink its defect less than this factor
 STALL_FACTOR = 100.0
-#: periodic QR: sweeps before falling back to the cyclic embedding
+#: periodic QR: sweeps before the converged boundaries are taken as they stand
 MAX_SWEEPS = 32
-#: periodic QR: widest spread of log|z| within one group of unsplit
-#: eigenvalues; a normalized group product loses members below e^-spread
-MAX_GROUP_SPREAD = 10.0
 
 
 class ProductOverflowError(FloatingPointError):
@@ -58,18 +56,6 @@ class TransferMatrix:
     @property
     def t11(self) -> np.ndarray:
         return self.matrix[: self.m, : self.m]
-
-    @property
-    def t12(self) -> np.ndarray:
-        return self.matrix[: self.m, self.m:]
-
-    @property
-    def t21(self) -> np.ndarray:
-        return self.matrix[self.m:, : self.m]
-
-    @property
-    def t22(self) -> np.ndarray:
-        return self.matrix[self.m:, self.m:]
 
 
 def steps(chain: BlockChain, energy: complex) -> np.ndarray:
@@ -211,18 +197,15 @@ class LogEigenvalues:
 
     log_abs[k] + i*phase[k] is one value of log z_k; ``xi`` is the exponent
     vector log|z_k| / n.  ``phase_reliable`` is False when the replica
-    clustering of the embedding could not separate phases (the moduli are
-    still trustworthy).  ``route`` names the route that produced the
-    values ("periodic", "cyclic" or "direct") and ``sweeps`` counts the
-    periodic QR sweeps run, including those of a periodic attempt that fell
-    back to the cyclic embedding.
+    clustering of the cyclic oracle could not separate phases (the moduli
+    are still trustworthy).  ``sweeps`` counts the periodic QR sweeps run
+    (0 for the oracle routes).
     """
 
     log_abs: np.ndarray
     phase: np.ndarray
     n: int
     phase_reliable: bool = True
-    route: str = "cyclic"
     sweeps: int = 0
 
     @property
@@ -297,19 +280,27 @@ def _group_log_eigenvalues(closing: np.ndarray, rs: np.ndarray) -> np.ndarray:
     return np.log(np.linalg.eigvals(closing @ total)) + log_scale
 
 
-def _eigenvalues_periodic(chain: BlockChain, energy: complex):
-    """Periodic QR iteration on t_n ... t_1; (log z_k, sweeps) or (None, sweeps).
+def eigenvalues_stabilized(chain: BlockChain, energy: complex) -> LogEigenvalues:
+    """Eigenvalues of T(E) in log-polar form by periodic QR, O(n m^3).
 
-    Sweeps restart from the last Q_n, so Q_0^H T Q_0 = (Q_0^H Q_n) R_n ... R_1
-    tends to upper triangular form, as in the unshifted QR algorithm, but
-    without forming T.  Boundary p has the defect max|(Q_0^H Q_n)[p:, :p]|;
-    it converges at rate |z_{p+1} / z_p| per sweep, so moduli separated by
-    e^{n dxi} settle within a few sweeps.  A boundary has stalled once two
-    consecutive sweeps each shrank its defect less than STALL_FACTOR (equal
-    or close moduli, such as unit-circle pairs); eigenvalues between stalled
-    boundaries stay together in one group and come from its diagonal block.
-    None asks for the cyclic fallback: a boundary still converging after
-    MAX_SWEEPS, a group spread beyond MAX_GROUP_SPREAD or a non-finite value.
+    Each sweep runs one QR per site on 2m x 2m matrices and restarts from
+    the last Q_n, so Q_0^H T Q_0 = (Q_0^H Q_n) R_n ... R_1 tends to upper
+    triangular form, as in the unshifted QR algorithm, but without forming
+    T.  Boundary p has the defect max|(Q_0^H Q_n)[p:, :p]|; it converges at
+    rate |z_{p+1} / z_p| per sweep, so moduli separated by e^{n dxi} settle
+    within a few sweeps.  A boundary has stalled once two consecutive
+    sweeps each shrank its defect less than STALL_FACTOR (equal or close
+    moduli, such as unit-circle pairs).  Sweeping stops once every boundary
+    has converged or stalled, or after MAX_SWEEPS.
+
+    The last sweep is then split at its converged boundaries only: there
+    (Q_0^H Q_n) R_n ... R_1 is block upper triangular up to rounding, so
+    each diagonal block holds eigenvalues of T whatever the stall rule
+    decided.  A single eigenvalue comes from the diagonals of the R_k and
+    of Q_0^H Q_n, a group from its normalized block product.  Logs and
+    angles are summed, so nothing overflows at any chain length.  The
+    cyclic embedding (eigenvalues_cyclic) is an oracle only, never a
+    fallback; a non-finite value raises EigenConvergenceError.
     """
     step_mats = steps(chain, energy)
     d = 2 * chain.m
@@ -326,45 +317,27 @@ def _eigenvalues_periodic(chain: BlockChain, energy: complex):
         if (converged | (was_slow & is_slow)).all():
             break
         previous, was_slow, q0 = defect, is_slow, qn
-    else:
-        return None, sweep
     cuts = [0, *(p for p in range(1, d) if converged[p - 1]), d]
     logs = []
-    # a zero or non-finite value turns into a non-finite log: fall back
+    # a zero or non-finite value turns into a non-finite log, refused below
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             if hi - lo == 1:
                 # log z = sum_k log R_k[p, p] + log (Q_0^H Q_n)[p, p]
                 logs.append([np.sum(np.log(np.append(rs[:, lo, lo], closing[lo, lo])))])
                 continue
-            group = _group_log_eigenvalues(closing[lo:hi, lo:hi], rs[:, lo:hi, lo:hi])
-            if np.ptp(group.real) > MAX_GROUP_SPREAD:
-                return None, sweep
-            logs.append(group)
+            logs.append(_group_log_eigenvalues(closing[lo:hi, lo:hi],
+                                               rs[:, lo:hi, lo:hi]))
     logs = np.concatenate(logs)
     if not np.all(np.isfinite(logs)):
-        return None, sweep
-    return logs, sweep
-
-
-def eigenvalues_stabilized(chain: BlockChain, energy: complex) -> LogEigenvalues:
-    """Eigenvalues of T(E) in log-polar form by periodic QR, O(n m^3).
-
-    Each sweep runs one QR per site on 2m x 2m matrices (see
-    _eigenvalues_periodic).  log|z_k| sums log|R_k[p, p]| over the chain
-    and the phase sums their angles, so neither overflows at any chain
-    length.  When the iteration does not settle, a group of close moduli
-    spreads too wide or a value is not finite, the result comes from
-    eigenvalues_cyclic instead; ``route`` records which.
-    """
-    logs, sweeps = _eigenvalues_periodic(chain, energy)
-    if logs is None:
-        return replace(eigenvalues_cyclic(chain, energy), sweeps=sweeps)
+        raise EigenConvergenceError(
+            f"periodic QR gave a non-finite log eigenvalue for the n={chain.n}, "
+            f"m={chain.m} chain at E={complex(energy)!r} after {sweep} sweeps")
     la = logs.real
     ph = np.array([wrap_phase(p) for p in logs.imag])
     order = np.lexsort((ph, -la))
     return LogEigenvalues(log_abs=la[order], phase=ph[order], n=chain.n,
-                          route="periodic", sweeps=sweeps)
+                          sweeps=sweep)
 
 
 def eigenvalues_cyclic(chain: BlockChain, energy: complex) -> LogEigenvalues:
@@ -374,7 +347,9 @@ def eigenvalues_cyclic(chain: BlockChain, energy: complex) -> LogEigenvalues:
     eigenvalues mu with mu^n running over sp(T), each picked up n times.
     Its entries stay O(max ||t_k||) for any chain length, so log|z_k| is
     obtained with uniform accuracy where the plain product would overflow
-    or lose the small eigenvalues entirely.
+    or lose the small eigenvalues entirely.  The dense eigensolve costs
+    O((nm)^3): this is the ``--method cyclic`` route and the oracle of
+    eigenvalues_stabilized, which never calls it.
     """
     n, m = chain.n, chain.m
     mus = np.linalg.eigvals(_cyclic_embedding(chain, energy))
@@ -391,11 +366,11 @@ def eigenvalues_cyclic(chain: BlockChain, energy: complex) -> LogEigenvalues:
         la = blocks.mean(axis=1)
         ph = np.array([_circular_mean(phases[i * n:(i + 1) * n]) for i in range(2 * m)])
         return LogEigenvalues(log_abs=la, phase=np.array([wrap_phase(p) for p in ph]),
-                              n=n, phase_reliable=False, route="cyclic")
+                              n=n, phase_reliable=False)
     la = np.array([g[0] for g in groups])
     ph = np.array([wrap_phase(g[1]) for g in groups])
     order = np.lexsort((ph, -la))
-    return LogEigenvalues(log_abs=la[order], phase=ph[order], n=n, route="cyclic")
+    return LogEigenvalues(log_abs=la[order], phase=ph[order], n=n)
 
 
 def _circular_mean(phases: np.ndarray) -> float:

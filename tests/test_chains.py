@@ -107,6 +107,17 @@ def test_is_hermitian():
     c = ch.c.copy()
     c[0] = c[0] + 0.1
     assert not BlockChain(a=ch.a, b=ch.b, c=c).is_hermitian()
+    # so does an interior hopping block, C_4 against B_3^dag
+    c = ch.c.copy()
+    c[3, 1, 0] += 1e-6
+    assert not BlockChain(a=ch.a, b=ch.b, c=c).is_hermitian()
+    # and a non-Hermitian diagonal block with every hopping intact
+    a = ch.a.copy()
+    a[2, 0, 1] += 0.1j
+    assert not BlockChain(a=a, b=ch.b, c=ch.c).is_hermitian()
+    # a defect below tol * scale does not
+    a[2, 0, 1] -= 0.1j - 1e-14
+    assert BlockChain(a=a, b=ch.b, c=ch.c).is_hermitian()
 
 
 def test_reversed_is_involution():
