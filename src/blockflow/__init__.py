@@ -11,17 +11,15 @@ from .chains import (BlockChain, ModelSpec, anderson_strip, banded_random,
 from .duality import (DualityReport, SpectralCurve, check_duality,
                       check_open_duality, check_symmetric_duality,
                       check_transfer_routes, trace_spectral_curve)
-from .exponents import (ContourTooCloseError, ExponentSpectrum,
-                        HadamardFisherReport, JensenReport,
-                        UnitCircleEigenvalueError, counting_function,
-                        exponent_csv, exponent_spectrum,
+from .exponents import (ContourTooCloseError, HadamardFisherReport,
+                        JensenReport, UnitCircleEigenvalueError,
+                        counting_function, exponent_csv, exponent_spectrum,
                         hadamard_fisher_bound, jensen_identity_check,
-                        positive_exponent_sum)
+                        positive_exponent_sum, sum_rule_value)
 from .hamiltonian import (assemble_balanced, assemble_bloch, assemble_open,
                           logdet_shift)
-from .linalg import (LogDet, SingularMatrixError, condition_number,
-                     eigenvalues, logdet_blocks, lu_logdet, match_spectra,
-                     singular_values, wrap_phase)
+from .linalg import (LogDet, SingularMatrixError, logdet_blocks, lu_logdet,
+                     match_spectra, singular_values, wrap_phase)
 from .resolvent import (CornerSingularError, ResolventCorners,
                         ResolventSingularError, corner_blocks,
                         factorization_residual, transfer_from_corners,
@@ -30,11 +28,10 @@ from .symmetry import (NotHermitianChainError, PairingReport,
                        SymplecticReport, UnitCircleReport, check_symplectic,
                        check_unit_circle_exclusion, detect_pairings,
                        sigma_form)
-from .transfer import (LogEigenvalues, ProductOverflowError, TransferMatrix,
+from .transfer import (LogEigenvalues, ProductOverflowError,
                        eigenvalues_cyclic, eigenvalues_stabilized,
                        logdet_t11, polynomial_coefficients, product,
-                       stabilized_log_singular_values,
-                       stabilized_singular_products, steps)
+                       stabilized_log_singular_values, steps)
 
 __version__ = "0.1.0"
 

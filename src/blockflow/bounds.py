@@ -233,12 +233,17 @@ class DichotomyReport:
                 "max_slack": self.max_slack}
 
 
-def dichotomy(chain: BlockChain, energy: complex) -> DichotomyReport:
-    """Count singular values of T(E) against q^{-n/2}/K and K q^{n/2}."""
+def dichotomy(chain: BlockChain, energy: complex,
+              params: DemkoParams | None = None) -> DichotomyReport:
+    """Count singular values of T(E) against q^{-n/2}/K and K q^{n/2}.
+
+    ``params`` may pass the decay parameters of h - E when the caller
+    already computed them for (chain, E), as check_corner_decay does.
+    """
     n, m = chain.n, chain.m
-    h = assemble_open(chain)
-    shifted = h - complex(energy) * np.eye(n * m)
-    params = demko_params_general(shifted)
+    if params is None:
+        shifted = assemble_open(chain) - complex(energy) * np.eye(n * m)
+        params = demko_params_general(shifted)
     eye = np.eye(m)
     k_const = (m * float(np.linalg.norm(chain.b[n - 1], 2)) * params.c
                * (float(np.linalg.norm(chain.a[0] - energy * eye, 2))
@@ -273,8 +278,8 @@ def t11_singular_floor(chain: BlockChain, energy: complex) -> dict:
     Returns the measured values in log form along with the floor.
     """
     report = dichotomy(chain, energy)
-    t = transfer_from_resolvent(chain, energy)
-    theta = singular_values(t.t11)
+    m = chain.m
+    theta = singular_values(transfer_from_resolvent(chain, energy)[:m, :m])
     log_theta = np.log(theta)
     floor = report.log_threshold_high
     return {"log_theta": [float(x) for x in log_theta],

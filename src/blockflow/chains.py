@@ -239,6 +239,8 @@ class ModelSpec:
                 raise ValueError(f"model kind {self.kind!r} requires a seed")
             if self.n < 2:
                 raise ValueError("n must be at least 2")
+        if self.kind in ("anderson-strip", "banded-random") and self.m < 1:
+            raise ValueError(f"m must be at least 1, got {self.m}")
         if self.kind == "anderson-strip" and self.w is None:
             raise ValueError("anderson-strip requires a disorder width w")
         if self.kind in ("hatano-nelson", "random-tridiag", "banded-random") \

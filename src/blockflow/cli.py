@@ -33,7 +33,8 @@ from .chains import BlockChain, ModelSpec
 from .duality import (TOL_LOG, SpectralCurve, check_duality, check_open_duality,
                       check_symmetric_duality, check_transfer_routes,
                       trace_spectral_curve)
-from .exponents import exponent_csv, exponent_spectrum, jensen_identity_check
+from .exponents import (exponent_csv, exponent_spectrum, jensen_identity_check,
+                        sum_rule_value)
 from .linalg import EigenConvergenceError
 from .resolvent import CornerSingularError, ResolventSingularError
 from .symmetry import check_symplectic, check_unit_circle_exclusion, detect_pairings
@@ -226,7 +227,7 @@ def _cmd_verify(args) -> int:
             "corners overlap the inner hoppings and the determinant "
             "identities are only checked for n >= 3")
 
-    sum_rule = spectrum.sum_rule_value(chain)
+    sum_rule = sum_rule_value(chain)
     residual = abs(spectrum.sum - sum_rule)
     checks.append({"check": "exponent-sum-rule", "sum": spectrum.sum,
                    "expected": sum_rule, "residual": residual,
@@ -369,8 +370,8 @@ def _cmd_exponents(args) -> int:
         "method": spectrum.method,
         "xi": [float(x) for x in spectrum.xi],
         "sum": spectrum.sum,
-        "sum_rule": spectrum.sum_rule_value(chain),
-        "phase_reliable": bool(spectrum.eigenvalues.phase_reliable),
+        "sum_rule": sum_rule_value(chain),
+        "phase_reliable": bool(spectrum.phase_reliable),
     }
     if args.jensen_xi is not None:
         quad = _resolve(args, config, "quad_points", args.quad_points, int, 256)
@@ -389,7 +390,7 @@ def _cmd_bounds(args) -> int:
     chain, model_summary = _build_chain(config)
     energy = _require_energy(args, config)
     corner = check_corner_decay(chain, energy)
-    dich = dichotomy(chain, energy)
+    dich = dichotomy(chain, energy, params=corner.params)
     counts_ok = (dich.count_above == chain.m and dich.count_below == chain.m
                  and dich.count_middle == 0)
     doc = {

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import BlockChain
-from .exponents import ExponentSpectrum, shared_spectrum
+from .exponents import shared_spectrum
 from .hamiltonian import assemble_balanced, log_minus_z, logdet_open, ring_band
 from .linalg import (LogDet, logdet_blocks, match_spectra, match_tolerance,
                      wrap_phase)
@@ -133,7 +133,7 @@ def _logdet_zi_minus_t(eig: LogEigenvalues, z: complex) -> LogDet:
 def check_duality(chain: BlockChain, energy: complex, z: complex,
                   tol_log: float = TOL_LOG,
                   tol_phase: float | None = None,
-                  spectrum: ExponentSpectrum | None = None) -> DualityReport:
+                  spectrum: LogEigenvalues | None = None) -> DualityReport:
     """Compare det[zI - T(E)] det[B_1..B_n] with (-z)^m det[E - H(z)].
 
     det[zI - T] comes from the transfer eigenvalues, taken from
@@ -147,7 +147,7 @@ def check_duality(chain: BlockChain, energy: complex, z: complex,
         raise ValueError("z must be nonzero")
     if tol_phase is None:
         tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
-    eig = shared_spectrum(chain, energy, spectrum).eigenvalues
+    eig = shared_spectrum(chain, energy, spectrum)
     lhs = _logdet_zi_minus_t(eig, z) * logdet_blocks(chain.b)
     ring = ring_band(chain, energy).logdet(cmath.exp(cmath.log(z) / chain.n))
     rhs = log_minus_z(z, chain.m) * ring
@@ -168,7 +168,7 @@ def check_open_duality(chain: BlockChain, energy: complex,
 def check_symmetric_duality(chain: BlockChain, energy: complex, z: complex,
                             tol_log: float = TOL_LOG,
                             tol_phase: float | None = None,
-                            spectrum: ExponentSpectrum | None = None) -> DualityReport:
+                            spectrum: LogEigenvalues | None = None) -> DualityReport:
     """Compare det[T + T^{-1} - (z + 1/z) I] with
     det[E - H(z)] det[E - H(1/z)] / (det[B_1..B_n] det[C_1..C_n]).
 
@@ -183,7 +183,7 @@ def check_symmetric_duality(chain: BlockChain, energy: complex, z: complex,
         raise ValueError("z must be nonzero")
     if tol_phase is None:
         tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
-    eig = shared_spectrum(chain, energy, spectrum).eigenvalues
+    eig = shared_spectrum(chain, energy, spectrum)
     det_t = LogDet(float(np.sum(eig.log_abs)), wrap_phase(float(np.sum(eig.phase))))
     lhs = _logdet_zi_minus_t(eig, z) * _logdet_zi_minus_t(eig, 1.0 / z) / det_t
     band = ring_band(chain, energy)
@@ -196,8 +196,8 @@ def check_symmetric_duality(chain: BlockChain, energy: complex, z: complex,
 def check_transfer_routes(chain: BlockChain, energy: complex,
                           tol: float = 1e-6) -> DualityReport:
     """Product route versus resolvent route for T(E), entrywise."""
-    t_prod = product(chain, energy).matrix
-    t_res = transfer_from_resolvent(chain, energy).matrix
+    t_prod = product(chain, energy)
+    t_res = transfer_from_resolvent(chain, energy)
     scale = float(np.max(np.abs(t_prod)))
     residual = float(np.max(np.abs(t_prod - t_res)))
     return DualityReport(

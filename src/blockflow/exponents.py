@@ -1,6 +1,8 @@
 """Radial exponents of the transfer spectrum and their integral identities.
 
-The 2m eigenvalues z_k(E) of T(E) define exponents xi_k = log|z_k| / n.
+The 2m eigenvalues z_k(E) of T(E) define exponents xi_k = log|z_k| / n;
+exponent_spectrum returns both as one transfer.LogEigenvalues, and
+sum_rule_value gives their exact sum from the hopping blocks alone.
 These are finite-chain objects tied to one realization; they are not the
 Lyapunov exponents of an infinite chain, although they converge to them
 in distribution for self-averaging models.  Everything here is exact at
@@ -51,33 +53,14 @@ class UnitCircleEigenvalueError(ValueError):
     """A transfer eigenvalue sits on the unit circle, |z_k| = 1."""
 
 
-@dataclass(frozen=True)
-class ExponentSpectrum:
-    """Exponents xi_k with the eigenvalues they came from.
-
-    ``method`` names the route that produced them: "periodic", "cyclic"
-    or "direct", as passed to exponent_spectrum.
-    """
-
-    xi: np.ndarray
-    eigenvalues: LogEigenvalues
-    energy: complex
-    n: int
-    m: int
-    method: str
-
-    @property
-    def sum(self) -> float:
-        return float(math.fsum(self.xi))
-
-    def sum_rule_value(self, chain: BlockChain) -> float:
-        """(1/n) sum_j (log|det C_j| - log|det B_j|), the exact sum of xi_k."""
-        return (logdet_blocks(chain.c) / logdet_blocks(chain.b)).log_modulus / chain.n
+def sum_rule_value(chain: BlockChain) -> float:
+    """(1/n) sum_j (log|det C_j| - log|det B_j|), the exact sum of xi_k."""
+    return (logdet_blocks(chain.c) / logdet_blocks(chain.b)).log_modulus / chain.n
 
 
 def exponent_spectrum(chain: BlockChain, energy: complex,
-                      method: str = "periodic") -> ExponentSpectrum:
-    """All 2m exponents of T(E), descending.
+                      method: str = "periodic") -> LogEigenvalues:
+    """The transfer spectrum with its 2m exponents ``xi``, descending.
 
     ``method`` selects the eigenvalue route: "periodic" (periodic QR,
     O(n m^3), the default for every size), "cyclic" (the dense cyclic
@@ -87,25 +70,19 @@ def exponent_spectrum(chain: BlockChain, energy: complex,
     ``method``.
     """
     if method == "direct":
-        t = product(chain, energy).matrix
-        vals = np.linalg.eigvals(t)
-        order = np.argsort(-np.abs(vals), kind="stable")
-        vals = vals[order]
-        eig = LogEigenvalues(log_abs=np.log(np.abs(vals)),
-                             phase=np.angle(vals), n=chain.n)
-    elif method == "cyclic":
-        eig = eigenvalues_cyclic(chain, energy)
-    elif method == "periodic":
-        eig = eigenvalues_stabilized(chain, energy)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ExponentSpectrum(xi=eig.xi.copy(), eigenvalues=eig,
-                            energy=complex(energy), n=chain.n, m=chain.m,
-                            method=method)
+        vals = np.linalg.eigvals(product(chain, energy))
+        vals = vals[np.argsort(-np.abs(vals), kind="stable")]
+        return LogEigenvalues(log_abs=np.log(np.abs(vals)), phase=np.angle(vals),
+                              n=chain.n, energy=complex(energy), method="direct")
+    if method == "cyclic":
+        return eigenvalues_cyclic(chain, energy)
+    if method == "periodic":
+        return eigenvalues_stabilized(chain, energy)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def shared_spectrum(chain: BlockChain, energy: complex,
-                    spectrum: ExponentSpectrum | None = None) -> ExponentSpectrum:
+                    spectrum: LogEigenvalues | None = None) -> LogEigenvalues:
     """``spectrum`` when given, else the default exponent_spectrum(chain, E).
 
     Lets one report compute the spectrum once and hand it to every check;
@@ -145,7 +122,7 @@ def _flux_values(chain: BlockChain, energy: complex, xi: float,
     return values
 
 
-def _guard_contour(spectrum: ExponentSpectrum, xi: float) -> None:
+def _guard_contour(spectrum: LogEigenvalues, xi: float) -> None:
     gaps = np.abs(spectrum.xi - xi)
     if gaps.size and float(gaps.min()) < DELTA_EDGE:
         offender = int(np.argmin(gaps))
@@ -190,7 +167,7 @@ class JensenReport:
 
 def jensen_identity_check(chain: BlockChain, energy: complex, xi: float,
                           quad_points: int = QUAD_POINTS,
-                          spectrum: ExponentSpectrum | None = None) -> JensenReport:
+                          spectrum: LogEigenvalues | None = None) -> JensenReport:
     """Evaluate both sides of
 
         (1/m) sum_{xi_k < xi} (xi - xi_k) - xi
@@ -232,10 +209,9 @@ def positive_exponent_sum(chain: BlockChain, energy: complex,
     spectrum = exponent_spectrum(chain, energy)
     k = int(np.argmin(np.abs(spectrum.xi)))
     if abs(spectrum.xi[k]) < DELTA_EDGE:
-        eig = spectrum.eigenvalues
         raise UnitCircleEigenvalueError(
-            f"transfer eigenvalue z_{k} with log|z|={eig.log_abs[k]:.3e}, "
-            f"phase={eig.phase[k]:.6f} lies on the unit circle; the "
+            f"transfer eigenvalue z_{k} with log|z|={spectrum.log_abs[k]:.3e}, "
+            f"phase={spectrum.phase[k]:.6f} lies on the unit circle; the "
             "corollary needs |z_k| != 1 for all k")
     average = math.fsum(_flux_values(chain, energy, 0.0, quad_points)) / quad_points
     return average / chain.n - logdet_blocks(chain.b).log_modulus / chain.n
@@ -291,7 +267,7 @@ def hadamard_fisher_bound(chain: BlockChain, energy: complex,
                                 passed=bool(slack >= -1e-9 * max(1.0, abs(rhs))))
 
 
-def exponent_csv(spectrum: ExponentSpectrum, stream, pair_ids=None) -> None:
+def exponent_csv(spectrum: LogEigenvalues, stream, pair_ids=None) -> None:
     """Write the spectrum as CSV: k, re_z, im_z, xi, pair_id.
 
     Values of z beyond double range are written as their log-polar parts
@@ -299,9 +275,8 @@ def exponent_csv(spectrum: ExponentSpectrum, stream, pair_ids=None) -> None:
     """
     stream.write("# blockflow-csv v1\n")
     stream.write("k,re_z,im_z,xi,pair_id,log_abs_z,arg_z\n")
-    eig = spectrum.eigenvalues
     for k in range(len(spectrum.xi)):
-        la, ph = float(eig.log_abs[k]), float(eig.phase[k])
+        la, ph = float(spectrum.log_abs[k]), float(spectrum.phase[k])
         if abs(la) > 700.0:
             re_s, im_s = "overflow", "overflow"
         else:

@@ -3,8 +3,8 @@
 Determinants of long chain products overflow double precision long before
 the underlying physics degenerates, so every determinant in this package is
 carried as a (log-modulus, phase) pair.  The helpers here wrap LAPACK
-routines (via numpy/scipy) behind that representation and fix the sorting
-and matching conventions used everywhere else.
+routines (via numpy/scipy) behind that representation and fix the
+spectrum matching convention used everywhere else.
 """
 
 from __future__ import annotations
@@ -145,27 +145,6 @@ def _logdet_from_lu(diag: np.ndarray, piv: np.ndarray) -> LogDet:
     return LogDet(log_modulus, wrap_phase(phase))
 
 
-def eigenvalues(a) -> np.ndarray:
-    """Eigenvalues of a square matrix, sorted by the package convention.
-
-    Sorting is by modulus descending with ties broken by phase ascending,
-    which makes seeded runs reproducible across platforms.
-    """
-    m = as_matrix(a)
-    try:
-        vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(str(exc)) from exc
-    return sort_by_modulus(vals)
-
-
-def sort_by_modulus(values: np.ndarray) -> np.ndarray:
-    """Sort complex values by modulus descending, ties by phase ascending."""
-    vals = np.asarray(values, dtype=complex)
-    order = np.lexsort((np.angle(vals), -np.abs(vals)))
-    return vals[order]
-
-
 def singular_values(a) -> np.ndarray:
     """Singular values in descending order."""
     m = as_matrix(a, square=False)
@@ -173,21 +152,6 @@ def singular_values(a) -> np.ndarray:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
-
-
-def condition_number(a) -> float:
-    """2-norm condition number; raises SingularMatrixError if singular."""
-    s = singular_values(a)
-    if s[-1] == 0:
-        raise SingularMatrixError("condition number of a singular matrix")
-    return float(s[0] / s[-1])
-
-
-def require_invertible(a, name: str = "matrix", tol: float = TOL_INV) -> np.ndarray:
-    """Return the matrix if comfortably invertible, else raise."""
-    m = as_matrix(a)
-    raise_first_singular(singular_values(m)[None], [name], tol)
-    return m
 
 
 def raise_first_singular(svals: np.ndarray, names, tol: float = TOL_INV) -> None:

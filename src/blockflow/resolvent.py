@@ -22,7 +22,7 @@ import scipy.linalg
 from .chains import BlockChain
 from .hamiltonian import open_band
 from .linalg import as_matrix, singular_values
-from .transfer import TransferMatrix, product
+from .transfer import product
 
 #: corner extraction refuses condition estimates beyond this
 COND_GUARD = 1e12
@@ -121,13 +121,13 @@ def corner_blocks(chain: BlockChain, energy: complex) -> ResolventCorners:
                             cond_estimate=cond)
 
 
-def transfer_from_resolvent(chain: BlockChain, energy: complex) -> TransferMatrix:
-    """T(E) reconstructed from the four resolvent corners."""
+def transfer_from_resolvent(chain: BlockChain, energy: complex) -> np.ndarray:
+    """T(E) reconstructed from the four resolvent corners, a 2m x 2m array."""
     corners = corner_blocks(chain, energy)
     return transfer_from_corners(chain, corners)
 
 
-def transfer_from_corners(chain: BlockChain, corners: ResolventCorners) -> TransferMatrix:
+def transfer_from_corners(chain: BlockChain, corners: ResolventCorners) -> np.ndarray:
     m = chain.m
     g1n = as_matrix(corners.g1n)
     sv = singular_values(g1n)
@@ -147,8 +147,7 @@ def transfer_from_corners(chain: BlockChain, corners: ResolventCorners) -> Trans
     total[:m, m:] = t12
     total[m:, :m] = t21
     total[m:, m:] = t22
-    return TransferMatrix(matrix=total, energy=corners.energy, m=m,
-                          provenance="resolvent")
+    return total
 
 
 def factorization_residual(chain: BlockChain, energy: complex) -> float:
@@ -161,7 +160,7 @@ def factorization_residual(chain: BlockChain, energy: complex) -> float:
     """
     m = chain.m
     corners = corner_blocks(chain, energy)
-    t = product(chain, energy).matrix
+    t = product(chain, energy)
     left = np.zeros((2 * m, 2 * m), dtype=complex)
     left[:m, m:] = -np.linalg.inv(chain.b[chain.n - 1])
     left[m:, :m] = corners.gn1

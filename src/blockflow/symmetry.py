@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import BlockChain
-from .exponents import ExponentSpectrum, shared_spectrum
-from .transfer import product, steps
+from .exponents import shared_spectrum
+from .transfer import LogEigenvalues, product, steps
 
 #: tolerance for the structural Hermitian-chain test
 TOL_STRUCTURE = 1e-12
@@ -87,9 +87,9 @@ def check_symplectic(chain: BlockChain, energy: complex,
     sigma_n = sigmas[-1]
     energy_bar = complex(energy).conjugate()
     steps_e = steps(chain, energy)
-    t_e = product(chain, energy, steps_e).matrix
+    t_e = product(chain, energy, steps_e)
     steps_ebar = steps(chain, energy_bar)
-    t_ebar = product(chain, energy_bar, steps_ebar).matrix
+    t_ebar = product(chain, energy_bar, steps_ebar)
     lhs = t_ebar.conj().T @ sigma_n @ t_e
     residual = float(np.max(np.abs(lhs - sigma_n)))
     scale = float(np.max(np.abs(sigma_n))
@@ -137,7 +137,7 @@ class PairingReport:
 
 def detect_pairings(chain: BlockChain, energy: complex,
                     mode: str = "hermitian-real-E",
-                    spectrum: ExponentSpectrum | None = None) -> PairingReport:
+                    spectrum: LogEigenvalues | None = None) -> PairingReport:
     """Group the transfer eigenvalues into symmetry multiplets.
 
     mode "hermitian-real-E": pairs (z, 1/zbar), i.e. opposite log moduli
@@ -149,7 +149,7 @@ def detect_pairings(chain: BlockChain, energy: complex,
     """
     if mode not in ("hermitian-real-E", "real-symmetric"):
         raise ValueError(f"unknown pairing mode {mode!r}")
-    eig = shared_spectrum(chain, energy, spectrum).eigenvalues
+    eig = shared_spectrum(chain, energy, spectrum)
     count = len(eig.log_abs)
     log_abs = eig.log_abs
     phase = eig.phase
@@ -219,7 +219,7 @@ class UnitCircleReport:
 
 def check_unit_circle_exclusion(chain: BlockChain, energy: complex,
                                 min_im: float = 1e-8,
-                                spectrum: ExponentSpectrum | None = None
+                                spectrum: LogEigenvalues | None = None
                                 ) -> UnitCircleReport:
     """At Im E != 0 a Hermitian chain has no unit-circle eigenvalue.
 
@@ -231,6 +231,6 @@ def check_unit_circle_exclusion(chain: BlockChain, energy: complex,
     if abs(complex(energy).imag) < min_im:
         raise ValueError(f"need |Im E| >= {min_im} for the exclusion check")
     spectrum = shared_spectrum(chain, energy, spectrum)
-    margin = float(np.min(np.abs(spectrum.eigenvalues.log_abs)))
+    margin = float(np.min(np.abs(spectrum.log_abs)))
     return UnitCircleReport(energy=complex(energy), margin=margin,
                             passed=bool(margin > 0.0))

@@ -5,14 +5,16 @@ The one-step matrix at energy E is
     t_k(E) = [[B_k^{-1}(E - A_k), -B_k^{-1} C_k],
               [I_m,               0            ]]
 
-and the n-step matrix is the ordered product T(E) = t_n ... t_1.  Entries
-of T grow like exp(n * xi_max), so alongside the plain product this module
-provides numerically stabilized routes: singular values accumulated in log
-space through a graded one-sided Jacobi factorization, eigenvalues in
-log-polar form through a periodic QR iteration and det T_11 from one
-sweep of the same iteration, none of which form the product itself.  The
-cyclic block-companion embedding is kept as the eigenvalue oracle; no
-run-time route falls back to it.
+and the n-step matrix is the ordered product T(E) = t_n ... t_1, returned
+by product as a plain 2m x 2m array.  Entries of T grow like
+exp(n * xi_max), so alongside the plain product this module provides
+numerically stabilized routes: singular values accumulated in log space
+through a graded one-sided Jacobi factorization, eigenvalues in log-polar
+form (LogEigenvalues, which also carries the exponents xi_k) through a
+periodic QR iteration and det T_11 from one sweep of the same iteration,
+none of which form the product itself.  The cyclic block-companion
+embedding is kept as the eigenvalue oracle; no run-time route falls back
+to it.
 """
 
 from __future__ import annotations
@@ -44,20 +46,6 @@ class ProductOverflowError(FloatingPointError):
     """The plain product left the range of double precision."""
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """An n-step transfer matrix with its construction provenance."""
-
-    matrix: np.ndarray
-    energy: complex
-    m: int
-    provenance: str
-
-    @property
-    def t11(self) -> np.ndarray:
-        return self.matrix[: self.m, : self.m]
-
-
 def steps(chain: BlockChain, energy: complex) -> np.ndarray:
     """All one-step matrices, shape (n, 2m, 2m): out[k] is t_{k+1}(E)."""
     n, m = chain.n, chain.m
@@ -70,8 +58,8 @@ def steps(chain: BlockChain, energy: complex) -> np.ndarray:
 
 
 def product(chain: BlockChain, energy: complex,
-            step_mats: np.ndarray | None = None) -> TransferMatrix:
-    """Plain ordered product T(E) = t_n ... t_1.
+            step_mats: np.ndarray | None = None) -> np.ndarray:
+    """Plain ordered product T(E) = t_n ... t_1, a 2m x 2m array.
 
     ``step_mats`` may pass steps(chain, energy) when the caller already
     built them.  Raises ProductOverflowError if an intermediate product
@@ -86,8 +74,7 @@ def product(chain: BlockChain, energy: complex,
             if not np.all(np.isfinite(total)):
                 raise ProductOverflowError(
                     f"transfer product overflowed at step {k} of {chain.n}")
-    return TransferMatrix(matrix=total, energy=complex(energy), m=chain.m,
-                          provenance="product")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -182,35 +169,40 @@ def stabilized_log_singular_values(chain: BlockChain, energy: complex,
     return np.sort(logs)[::-1]
 
 
-def stabilized_singular_products(chain: BlockChain, energy: complex,
-                                 k_qr: int = K_QR) -> np.ndarray:
-    """log(sigma_1 * ... * sigma_p) of T(E) for p = 1..2m, as an array."""
-    return np.cumsum(stabilized_log_singular_values(chain, energy, k_qr=k_qr))
-
-
 # ---------------------------------------------------------------------------
 # stabilized eigenvalues: periodic QR, cyclic block-companion embedding
 
 @dataclass(frozen=True)
 class LogEigenvalues:
-    """Eigenvalues of T(E) in log-polar form.
+    """Eigenvalues of T(E) in log-polar form, and the exponents they define.
 
     log_abs[k] + i*phase[k] is one value of log z_k; ``xi`` is the exponent
-    vector log|z_k| / n.  ``phase_reliable`` is False when the replica
-    clustering of the cyclic oracle could not separate phases (the moduli
-    are still trustworthy).  ``sweeps`` counts the periodic QR sweeps run
-    (0 for the oracle routes).
+    vector log|z_k| / n and ``sum`` its sum.  ``method`` names the route
+    that produced them: "periodic", "cyclic" or "direct".
+    ``phase_reliable`` is False when the replica clustering of the cyclic
+    oracle could not separate phases (the moduli are still trustworthy).
+    ``sweeps`` counts the periodic QR sweeps run (0 for the oracle routes).
     """
 
     log_abs: np.ndarray
     phase: np.ndarray
     n: int
+    energy: complex
+    method: str
     phase_reliable: bool = True
     sweeps: int = 0
 
     @property
+    def m(self) -> int:
+        return len(self.log_abs) // 2
+
+    @property
     def xi(self) -> np.ndarray:
         return self.log_abs / self.n
+
+    @property
+    def sum(self) -> float:
+        return float(math.fsum(self.xi))
 
     def values(self) -> np.ndarray:
         """Complex eigenvalues; overflow saturates to inf, underflow to 0."""
@@ -337,7 +329,7 @@ def eigenvalues_stabilized(chain: BlockChain, energy: complex) -> LogEigenvalues
     ph = np.array([wrap_phase(p) for p in logs.imag])
     order = np.lexsort((ph, -la))
     return LogEigenvalues(log_abs=la[order], phase=ph[order], n=chain.n,
-                          sweeps=sweep)
+                          energy=complex(energy), method="periodic", sweeps=sweep)
 
 
 def eigenvalues_cyclic(chain: BlockChain, energy: complex) -> LogEigenvalues:
@@ -366,11 +358,13 @@ def eigenvalues_cyclic(chain: BlockChain, energy: complex) -> LogEigenvalues:
         la = blocks.mean(axis=1)
         ph = np.array([_circular_mean(phases[i * n:(i + 1) * n]) for i in range(2 * m)])
         return LogEigenvalues(log_abs=la, phase=np.array([wrap_phase(p) for p in ph]),
-                              n=n, phase_reliable=False)
+                              n=n, energy=complex(energy), method="cyclic",
+                              phase_reliable=False)
     la = np.array([g[0] for g in groups])
     ph = np.array([wrap_phase(g[1]) for g in groups])
     order = np.lexsort((ph, -la))
-    return LogEigenvalues(log_abs=la[order], phase=ph[order], n=n)
+    return LogEigenvalues(log_abs=la[order], phase=ph[order], n=n,
+                          energy=complex(energy), method="cyclic")
 
 
 def _circular_mean(phases: np.ndarray) -> float:
@@ -420,7 +414,7 @@ def polynomial_coefficients(chain: BlockChain, degree: int | None = None) -> lis
         degree = chain.n
     d = 2 * chain.m
     nodes = np.cos(np.pi * (2 * np.arange(degree + 1) + 1) / (2 * (degree + 1)))
-    samples = np.stack([product(chain, complex(x)).matrix for x in nodes])
+    samples = np.stack([product(chain, complex(x)) for x in nodes])
     flat = samples.reshape(degree + 1, d * d)
     fitted = np.polynomial.chebyshev.chebfit(nodes, flat, deg=degree)
     # cheb2poly trims trailing zeros, so pad every column back to full length

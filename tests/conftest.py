@@ -4,9 +4,11 @@ Every helper is deterministic in its arguments, so expected values frozen
 in the tests stay valid across platforms.
 """
 
+import cmath
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 
 from blockflow import BlockChain
 
@@ -79,3 +81,34 @@ def clean_chain(n) -> BlockChain:
     zeros = np.zeros((n, 1, 1), dtype=complex)
     ones = np.ones((n, 1, 1), dtype=complex)
     return BlockChain(a=zeros, b=ones.copy(), c=ones.copy())
+
+
+#: random and Hermitian chains for the property tests, n in [3, 8], m in [1, 3]
+property_chains = st.builds(
+    lambda hermitian, n, m, seed:
+        hermitian_chain(n, m, seed) if hermitian else random_chain(n, m, seed),
+    st.booleans(), st.integers(3, 8), st.integers(1, 3), st.integers(0, 10**6))
+
+#: energies off the real axis, where a Hermitian chain has no spectrum
+complex_energies = st.builds(complex, st.floats(-2.0, 2.0),
+                             st.sampled_from([-0.8, -0.3, 0.3, 1.0]))
+
+#: (gap, frac, phi) for separated_z
+z_draws = st.tuples(st.integers(0, 12), st.floats(0.25, 0.75),
+                    st.floats(-np.pi, np.pi))
+
+
+def separated_z(spectrum, draw):
+    """A boundary factor z away from every transfer eigenvalue, and its margin.
+
+    log|z| / n is put at the fraction ``frac`` of one gap of the sorted
+    exponents +-xi_k (widened by 1 at both ends), so both z and 1/z keep
+    the returned log-distance from every |z_k|.
+    """
+    gap, frac, phi = draw
+    xs = np.sort(np.concatenate([spectrum.xi, -spectrum.xi]))
+    edges = np.concatenate([[xs[0] - 1.0], xs, [xs[-1] + 1.0]])
+    i = gap % (len(edges) - 1)
+    lo, hi = edges[i], edges[i + 1]
+    z = cmath.exp(complex(spectrum.n * (lo + frac * (hi - lo)), phi))
+    return z, spectrum.n * min(frac, 1.0 - frac) * (hi - lo)

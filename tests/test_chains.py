@@ -159,6 +159,13 @@ def test_model_spec_validation():
         ModelSpec(kind="hatano-nelson", n=4, seed=1)  # no interval
     with pytest.raises(ValueError):
         ModelSpec(kind="anderson-strip", n=4, seed=1)  # no width
+    # the block size is checked before any generator divides by it or
+    # allocates with it
+    for kind, m in [("banded-random", 0), ("anderson-strip", 0),
+                    ("anderson-strip", -2)]:
+        with pytest.raises(ValueError, match=f"^m must be at least 1, got {m}$"):
+            ModelSpec.from_dict({"kind": kind, "n": 6, "m": m, "w": 1.0,
+                                 "interval": [-1, 1], "seed": 1})
     with pytest.raises(ValueError):
         ModelSpec.from_dict({"kind": "explicit", "A": [[[0.0]]]})
     with pytest.raises(ValueError):

@@ -80,7 +80,6 @@ def test_verify_hermitian_checks_appear(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("model, energy", [
-    # duality falls back to the eigenvalues (wild product)
     ({"kind": "hatano-nelson", "n": 60, "seed": 14, "interval": [-3.5, 3.5]},
      [0.4, 0.9]),
     # Hermitian: unit-circle exclusion at complex E, pairing at real E
@@ -103,6 +102,27 @@ def test_verify_computes_the_spectrum_once(tmp_path, capsys, monkeypatch,
     assert main(["verify", "--config", cfg]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_bounds_computes_the_demko_params_once(tmp_path, capsys, monkeypatch):
+    # check_corner_decay hands its parameters of h - E on to dichotomy
+    import blockflow.bounds as bounds
+
+    calls = []
+    original = bounds.demko_params_general
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(bounds, "demko_params_general", counted)
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "random-tridiag", "n": 48, "seed": 11,
+                  "interval": [-2, 2]},
+        "energy": [0.2, 1.0]})
+    assert main(["bounds", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert calls == [(48, 48)]
 
 
 def test_verify_runs_every_identity_past_product_overflow(tmp_path, capsys):
@@ -167,6 +187,17 @@ def test_singular_explicit_block_is_input_error(tmp_path, capsys):
 def test_bad_complex_flag(tridiag_config, capsys):
     rc = main(["verify", "--config", tridiag_config, "--energy", "zap"])
     assert rc == 2
+
+
+def test_block_size_below_one_is_input_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "banded-random", "n": 12, "m": 0, "seed": 1,
+                  "interval": [-1, 1]},
+        "energy": [0.1, 0.1]})
+    rc = main(["verify", "--config", cfg])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: bad model: m must be at least 1, got 0\n"
 
 
 def test_missing_config_file(capsys):

@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from blockflow import (assemble_bloch, banded_random, check_duality,
-                       check_open_duality, check_symmetric_duality,
-                       check_transfer_routes, hatano_nelson, lu_logdet, product,
+from blockflow import (assemble_bloch, assemble_open, banded_random,
+                       check_duality, check_open_duality,
+                       check_symmetric_duality, check_transfer_routes,
+                       exponent_spectrum, hatano_nelson, lu_logdet, product,
                        trace_spectral_curve)
 from blockflow.hamiltonian import log_minus_z
 from blockflow.linalg import wrap_phase
 
-from conftest import clean_chain, random_chain
+from conftest import (clean_chain, complex_energies, property_chains,
+                      random_chain, separated_z, z_draws)
 
 
 def test_duality_on_corpus():
@@ -58,6 +61,21 @@ def test_symmetric_duality_on_corpus():
         assert rep.passed, rep.to_dict()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(chain=property_chains, energy=complex_energies, draw=z_draws)
+def test_identities_hold_at_separated_points(chain, energy, draw):
+    # z and 1/z stay e^0.1 away from every |z_k| in modulus and E 0.05 away
+    # from the open spectrum, so no determinant is near zero
+    spectrum = exponent_spectrum(chain, energy)
+    z, margin = separated_z(spectrum, draw)
+    assume(margin >= 0.1)
+    assume(np.min(np.abs(np.linalg.eigvals(assemble_open(chain)) - energy)) >= 0.05)
+    for rep in (check_duality(chain, energy, z, spectrum=spectrum),
+                check_symmetric_duality(chain, energy, z, spectrum=spectrum),
+                check_open_duality(chain, energy)):
+        assert rep.passed, rep.to_dict()
+
+
 def test_two_site_ring_is_gated():
     ch = random_chain(2, 2, seed=10)
     with pytest.raises(ValueError, match="n >= 3"):
@@ -73,7 +91,7 @@ def test_two_site_identity_holds_algebraically():
     # n = 2 even though the library gates the check
     ch = random_chain(2, 1, seed=11)
     e, z = 0.4 - 0.6j, 1.3 + 0.8j
-    t = product(ch, e).matrix
+    t = product(ch, e)
     lhs = lu_logdet(z * np.eye(2) - t)
     for k in range(2):
         lhs = lhs * lu_logdet(ch.b[k])
@@ -86,7 +104,7 @@ def test_transfer_eigenvalue_is_ring_zero():
     # z in sp(T(E)) exactly when E in sp(H(z))
     ch = random_chain(5, 2, seed=12)
     e = 0.25 + 0.45j
-    t = product(ch, e).matrix
+    t = product(ch, e)
     for z in np.linalg.eigvals(t)[:2]:
         ring = assemble_bloch(ch, z)
         gap = np.min(np.abs(np.linalg.eigvals(ring) - e))

@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from blockflow import (assemble_balanced, assemble_bloch, assemble_open,
-                       logdet_shift)
+                       exponent_spectrum, logdet_shift)
 from blockflow.hamiltonian import log_minus_z, logdet_open, ring_band
 from blockflow.linalg import LogDet, wrap_phase
 
-from conftest import clean_chain, hermitian_chain, random_chain
+from conftest import (clean_chain, complex_energies, hermitian_chain,
+                      property_chains, random_chain, separated_z, z_draws)
 
 
 def test_two_site_ring_sums_corners():
@@ -129,6 +130,20 @@ def test_folded_ring_band_matches_dense(chain, energy, log_w, arg_w):
 def test_open_band_matches_dense(chain, energy):
     assert_same_logdet(logdet_open(chain, energy),
                        logdet_shift(assemble_open(chain), energy))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(chain=property_chains, energy=complex_energies, draw=z_draws)
+def test_ring_logdet_has_the_flux_period(chain, energy, draw):
+    # H_bal(w e^{2 pi i / n}) = D H_bal(w) D^{-1} with D = diag(e^{-2 pi i k / n});
+    # z = w^n stays away from the transfer spectrum, so the determinant does
+    # not vanish
+    z, margin = separated_z(exponent_spectrum(chain, energy), draw)
+    assume(margin >= 0.1)
+    band = ring_band(chain, energy)
+    w = cmath.exp(cmath.log(z) / chain.n)
+    assert_same_logdet(band.logdet(w * cmath.exp(2j * math.pi / chain.n)),
+                       band.logdet(w))
 
 
 def test_ring_band_at_extreme_boundary_factor():

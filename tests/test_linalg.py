@@ -4,10 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from blockflow import (LogDet, SingularMatrixError, condition_number,
-                       eigenvalues, logdet_blocks, lu_logdet, match_spectra,
+from blockflow import (LogDet, logdet_blocks, lu_logdet, match_spectra,
                        singular_values, wrap_phase)
-from blockflow.linalg import require_invertible, sort_by_modulus
 
 
 def det_cofactor(a):
@@ -21,14 +19,6 @@ def det_cofactor(a):
         minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
         total += (-1) ** j * a[0, j] * det_cofactor(minor)
     return total
-
-
-def eig2_roots(a):
-    """Eigenvalues of a 2x2 matrix from the characteristic quadratic."""
-    tr = a[0, 0] + a[1, 1]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    disc = np.sqrt(complex(tr * tr - 4 * det))
-    return np.array([(tr + disc) / 2, (tr - disc) / 2])
 
 
 def test_lu_logdet_matches_cofactor_expansion():
@@ -96,23 +86,6 @@ def test_wrap_phase_range_and_periodicity():
         assert wrap_phase(x + 2 * math.pi) == pytest.approx(w, abs=1e-12)
 
 
-def test_eigenvalues_match_quadratic_roots():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        want = sort_by_modulus(eig2_roots(a))
-        got = eigenvalues(a)
-        assert np.allclose(got, want, atol=1e-10)
-
-
-def test_sort_by_modulus_tie_breaks_by_phase():
-    vals = np.array([1j, -1j, 1.0, 2.0])
-    out = sort_by_modulus(vals)
-    assert out[0] == 2.0
-    # modulus-1 block ordered by ascending phase: -i, 1, i
-    assert np.allclose(out[1:], [-1j, 1.0, 1j])
-
-
 def test_singular_values_match_gram_eigenvalues():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -120,21 +93,6 @@ def test_singular_values_match_gram_eigenvalues():
     got = singular_values(a)
     assert np.allclose(got, want, atol=1e-10)
     assert np.all(np.diff(got) <= 0)
-
-
-def test_condition_number_matches_explicit_inverse():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    want = np.linalg.norm(a, 2) * np.linalg.norm(np.linalg.inv(a), 2)
-    assert condition_number(a) == pytest.approx(want, rel=1e-10)
-    with pytest.raises(SingularMatrixError):
-        condition_number(np.zeros((2, 2)))
-
-
-def test_require_invertible():
-    require_invertible(np.eye(3))
-    with pytest.raises(SingularMatrixError):
-        require_invertible(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_as_matrix_rejects_bad_input():

@@ -25,7 +25,7 @@ def test_two_site_corners_by_hand():
     assert np.allclose(corners.g1n, [[0.2]], atol=1e-12)
     assert np.allclose(corners.gn1, [[0.2]], atol=1e-12)
     assert np.allclose(corners.gnn, [[0.4j]], atol=1e-12)
-    t = transfer_from_resolvent(ch, 2.0j).matrix
+    t = transfer_from_resolvent(ch, 2.0j)
     assert np.allclose(t, np.array([[-5.0, -2.0j], [2.0j, -1.0]]), atol=1e-12)
 
 
@@ -46,18 +46,18 @@ def test_transfer_reconstruction_matches_product():
     for n, m, seed in [(5, 1, 45), (7, 2, 46), (6, 3, 47)]:
         ch = random_chain(n, m, seed)
         e = -0.4 + 0.7j
-        t_prod = product(ch, e).matrix
+        t_prod = product(ch, e)
         t_res = transfer_from_resolvent(ch, e)
-        assert t_res.provenance == "resolvent"
+        assert t_res.shape == (2 * m, 2 * m)
         scale = np.max(np.abs(t_prod))
-        assert np.max(np.abs(t_prod - t_res.matrix)) <= 1e-8 * scale
+        assert np.max(np.abs(t_prod - t_res)) <= 1e-8 * scale
 
 
 def test_factorization_residual_small():
     for n, m, seed in [(4, 2, 48), (9, 1, 49)]:
         ch = random_chain(n, m, seed)
         e = 0.6 - 0.9j
-        scale = np.max(np.abs(product(ch, e).matrix))
+        scale = np.max(np.abs(product(ch, e)))
         assert factorization_residual(ch, e) <= 1e-10 * max(scale, 1.0)
 
 

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from blockflow import (ProductOverflowError, eigenvalues_cyclic,
                        eigenvalues_stabilized, logdet_t11, lu_logdet,
                        match_spectra, polynomial_coefficients, product,
-                       stabilized_log_singular_values,
-                       stabilized_singular_products, steps)
+                       stabilized_log_singular_values, steps)
 from blockflow.chains import BlockChain
-from blockflow.linalg import SingularMatrixError, sort_by_modulus, wrap_phase
+from blockflow.linalg import wrap_phase
 
-from conftest import clean_chain, hermitian_chain, random_chain
+from conftest import (clean_chain, complex_energies, hermitian_chain,
+                      property_chains, random_chain)
 
 
 def run_recursion(chain, energy, u0, u1):
@@ -32,7 +33,7 @@ def test_product_propagates_the_recursion():
         u0 = rng.normal(size=m) + 1j * rng.normal(size=m)
         u1 = rng.normal(size=m) + 1j * rng.normal(size=m)
         top, bot = run_recursion(ch, e, u0, u1)
-        t = product(ch, e).matrix
+        t = product(ch, e)
         vec = t @ np.concatenate([u1, u0])
         assert np.allclose(vec[:m], top, atol=1e-9)
         assert np.allclose(vec[m:], bot, atol=1e-9)
@@ -44,7 +45,7 @@ def test_clean_two_site_product_by_hand():
     e = 2.0j
     t1 = steps(ch, e)[0]
     assert np.allclose(t1, np.array([[e, -1.0], [1.0, 0.0]]))
-    t = product(ch, e).matrix
+    t = product(ch, e)
     assert np.allclose(t, np.array([[-5.0, -2.0j], [2.0j, -1.0]]))
 
 
@@ -55,7 +56,7 @@ def test_determinant_law():
         want = 0.0
         for k in range(n):
             want += lu_logdet(ch.c[k]).log_modulus - lu_logdet(ch.b[k]).log_modulus
-        assert lu_logdet(t.matrix).log_modulus == pytest.approx(want, abs=1e-10)
+        assert lu_logdet(t).log_modulus == pytest.approx(want, abs=1e-10)
 
 
 def test_inverse_via_reversed_chain():
@@ -63,17 +64,30 @@ def test_inverse_via_reversed_chain():
     for n, m, seed in [(5, 1, 7), (4, 2, 8)]:
         ch = random_chain(n, m, seed)
         e = 0.9 + 0.4j
-        t = product(ch, e).matrix
+        t = product(ch, e)
         sigma = np.roll(np.eye(2 * m), m, axis=0)
-        t_inv = sigma @ product(ch.reversed(), e).matrix @ sigma
+        t_inv = sigma @ product(ch.reversed(), e) @ sigma
         assert np.allclose(t @ t_inv, np.eye(2 * m), atol=1e-8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(chain=property_chains, energy=complex_energies)
+def test_reversed_chain_gives_the_inverse(chain, energy):
+    # T^{-1} = sigma T^J sigma; the rounding of T T^{-1} scales with
+    # ||T|| ||T^J||, which reaches 4.5e8 on these draws
+    m = chain.m
+    t = product(chain, energy)
+    t_rev = product(chain.reversed(), energy)
+    sigma = np.roll(np.eye(2 * m), m, axis=0)
+    scale = np.linalg.norm(t, 2) * np.linalg.norm(t_rev, 2)
+    assert np.max(np.abs(t @ sigma @ t_rev @ sigma - np.eye(2 * m))) <= 1e-12 * scale
 
 
 def test_logdet_t11_matches_the_product():
     for n, m, seed in [(3, 1, 30), (7, 2, 31), (5, 3, 32)]:
         ch = random_chain(n, m, seed)
         e = 0.35 - 0.7j
-        want = lu_logdet(product(ch, e).t11)
+        want = lu_logdet(product(ch, e)[:m, :m])
         got = logdet_t11(ch, e)
         assert got.log_modulus == pytest.approx(want.log_modulus, abs=1e-10)
         assert wrap_phase(got.phase - want.phase) == pytest.approx(0.0, abs=1e-10)
@@ -83,12 +97,10 @@ def test_stabilized_singulars_match_dense_svd():
     for n, m, seed in [(6, 1, 9), (10, 2, 10), (8, 3, 11)]:
         ch = random_chain(n, m, seed)
         e = -0.2 + 0.6j
-        t = product(ch, e).matrix
+        t = product(ch, e)
         want = np.log(np.linalg.svd(t, compute_uv=False))
         got = stabilized_log_singular_values(ch, e)
         assert np.allclose(got, want, atol=1e-9)
-        cums = stabilized_singular_products(ch, e)
-        assert np.allclose(cums, np.cumsum(got), atol=1e-12)
 
 
 def test_stabilized_singulars_long_chain_sum_rule():
@@ -130,7 +142,7 @@ def test_eigenvalues_stabilized_match_dense():
     for n, m, seed in [(5, 1, 14), (7, 2, 15), (6, 3, 16)]:
         ch = random_chain(n, m, seed)
         e = 0.3 + 0.5j
-        want = sort_by_modulus(np.linalg.eigvals(product(ch, e).matrix))
+        want = np.linalg.eigvals(product(ch, e))
         eig = eigenvalues_stabilized(ch, e)
         assert eig.phase_reliable
         got = eig.values()
@@ -163,7 +175,8 @@ def test_values_saturate_on_overflow():
     from blockflow.transfer import LogEigenvalues
 
     eig = LogEigenvalues(log_abs=np.array([800.0, -800.0]),
-                         phase=np.array([0.0, 0.0]), n=10)
+                         phase=np.array([0.0, 0.0]), n=10, energy=0j,
+                         method="periodic")
     vals = eig.values()
     assert vals[0] == complex(math.inf, 0.0)
     assert vals[1] == 0.0
@@ -182,7 +195,7 @@ def test_polynomial_coefficients():
     assert np.allclose(lead[1:, :], 0.0, atol=1e-8)
     # evaluation matches the product at fresh points
     for e in (0.37 - 0.21j, -1.2 + 0.05j):
-        want = product(ch, e).matrix
+        want = product(ch, e)
         got = sum(c * e ** p for p, c in enumerate(coeffs))
         assert np.allclose(got, want, atol=1e-7)
 
@@ -202,7 +215,7 @@ def test_hermitian_chain_unit_circle_at_real_energy():
     eig = eigenvalues_stabilized(ch, 0.5)
     assert np.allclose(eig.log_abs, 0.0, atol=1e-9)
     ch2 = hermitian_chain(8, 2, seed=19)
-    t = product(ch2, 0.3).matrix
+    t = product(ch2, 0.3)
     vals = np.linalg.eigvals(t)
     # spectrum symmetric under z -> 1/conj(z)
     inv_conj = 1.0 / np.conj(vals)
