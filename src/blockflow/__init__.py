@@ -29,8 +29,8 @@ from .symmetry import (NotHermitianChainError, PairingReport,
                        check_unit_circle_exclusion, detect_pairings,
                        sigma_form)
 from .transfer import (LogEigenvalues, ProductOverflowError,
-                       eigenvalues_cyclic, eigenvalues_stabilized,
-                       logdet_t11, polynomial_coefficients, product,
+                       eigenvalues_stabilized, logdet_t11,
+                       polynomial_coefficients, product,
                        stabilized_log_singular_values, steps)
 
 __version__ = "0.1.0"

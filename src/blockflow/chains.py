@@ -19,6 +19,7 @@ numpy's default_rng (PCG64), whose stream is part of numpy's API.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,6 +215,19 @@ def _blocks_from_json(data, what: str) -> np.ndarray:
     return arr
 
 
+def _integer_field(doc: dict, name: str, default: int | None) -> int | None:
+    """doc[name] as an int: an integral float such as 40.0 passes, anything
+    else but an integer (a bool, 4.9, a string) is refused, not truncated."""
+    if name not in doc:
+        return default
+    value = doc[name]
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"model field {name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """JSON-serializable description of a chain.
@@ -295,11 +309,11 @@ class ModelSpec:
             return cls(kind=kind, n=n, m=m, blocks=blocks)
         interval = doc.get("interval")
         return cls(kind=kind,
-                   n=int(doc.get("n", 0)),
-                   m=int(doc.get("m", 1)),
+                   n=_integer_field(doc, "n", 0),
+                   m=_integer_field(doc, "m", 1),
                    w=float(doc["w"]) if "w" in doc else None,
                    interval=tuple(float(x) for x in interval) if interval else None,
-                   seed=int(doc["seed"]) if "seed" in doc else None)
+                   seed=_integer_field(doc, "seed", None))
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSpec":

@@ -8,7 +8,7 @@ Four subcommands:
     blockflow bounds    --config cfg.json --energy RE,IM
 
 The config file is a JSON object; the "model" entry is a ModelSpec
-document and the remaining keys (energy, z, xi, phi, phi_steps, method,
+document and the remaining keys (energy, z, xi, phi, phi_steps,
 quad_points) supply defaults that individual flags override.  Numeric
 results go to stdout as JSON (or CSV where noted) so runs with the same
 config and seed are byte-identical.
@@ -356,8 +356,7 @@ def _cmd_exponents(args) -> int:
     energy = _require_energy(args, config)
     if args.jensen_xi is not None:
         _require_exp_range(args.jensen_xi, "--jensen-xi")
-    method = _resolve(args, config, "method", args.method, str, "periodic")
-    spectrum = exponent_spectrum(chain, energy, method=method)
+    spectrum = exponent_spectrum(chain, energy)
     if args.csv is not None:
         buf = io.StringIO()
         exponent_csv(spectrum, buf)
@@ -367,11 +366,12 @@ def _cmd_exponents(args) -> int:
         "command": "exponents",
         "model": model_summary,
         "energy": [energy.real, energy.imag],
-        "method": spectrum.method,
+        # periodic QR is the only route; both keys keep the report's schema
+        "method": "periodic",
         "xi": [float(x) for x in spectrum.xi],
         "sum": spectrum.sum,
         "sum_rule": sum_rule_value(chain),
-        "phase_reliable": bool(spectrum.phase_reliable),
+        "phase_reliable": True,
     }
     if args.jensen_xi is not None:
         quad = _resolve(args, config, "quad_points", args.quad_points, int, 256)
@@ -445,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exponents", help="characteristic exponents at one energy")
     _add_common(p)
     p.add_argument("--energy", metavar="RE[,IM]")
-    p.add_argument("--method", choices=("periodic", "cyclic", "direct"))
     p.add_argument("--csv", metavar="FILE", help="write the spectrum as CSV")
     p.add_argument("--jensen-xi", type=float, dest="jensen_xi",
                    help="also evaluate the contour identity at this xi")

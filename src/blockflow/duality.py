@@ -298,11 +298,8 @@ def trace_spectral_curve(chain: BlockChain, xi: float,
         samples[i] = curr[perm]
         ambiguous_slots.update(amb)
         prev = samples[i]
-    closing = spectrum(2.0 * math.pi)
-    perm, amb = _link(prev, closing, tol)
-    ambiguous_slots.update(amb)
-    # identify the phi = 2 pi spectrum with the phi = 0 one
-    monodromy, amb = _link(closing[perm], samples[0], tol)
+    # the spectrum at phi = 2 pi is the one at phi = 0: close on samples[0]
+    monodromy, amb = _link(prev, samples[0], tol)
     ambiguous_slots.update(amb)
 
     loop_id = -np.ones(size, dtype=int)

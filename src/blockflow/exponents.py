@@ -31,8 +31,7 @@ import numpy as np
 from .chains import BlockChain
 from .hamiltonian import ring_band
 from .linalg import logdet_blocks
-from .transfer import (LogEigenvalues, eigenvalues_cyclic, eigenvalues_stabilized,
-                       product)
+from .transfer import LogEigenvalues, eigenvalues_stabilized
 
 #: minimum distance of an integration contour from any exponent
 DELTA_EDGE = 1e-6
@@ -58,27 +57,10 @@ def sum_rule_value(chain: BlockChain) -> float:
     return (logdet_blocks(chain.c) / logdet_blocks(chain.b)).log_modulus / chain.n
 
 
-def exponent_spectrum(chain: BlockChain, energy: complex,
-                      method: str = "periodic") -> LogEigenvalues:
-    """The transfer spectrum with its 2m exponents ``xi``, descending.
-
-    ``method`` selects the eigenvalue route: "periodic" (periodic QR,
-    O(n m^3), the default for every size), "cyclic" (the dense cyclic
-    embedding, an oracle route only, never a fallback), "direct" (plain
-    eigensolve of the formed product; small chains only, kept as an oracle
-    route).  Each route names itself, so the spectrum's ``method`` is
-    ``method``.
-    """
-    if method == "direct":
-        vals = np.linalg.eigvals(product(chain, energy))
-        vals = vals[np.argsort(-np.abs(vals), kind="stable")]
-        return LogEigenvalues(log_abs=np.log(np.abs(vals)), phase=np.angle(vals),
-                              n=chain.n, energy=complex(energy), method="direct")
-    if method == "cyclic":
-        return eigenvalues_cyclic(chain, energy)
-    if method == "periodic":
-        return eigenvalues_stabilized(chain, energy)
-    raise ValueError(f"unknown method {method!r}")
+def exponent_spectrum(chain: BlockChain, energy: complex) -> LogEigenvalues:
+    """The transfer spectrum with its 2m exponents ``xi``, descending, by
+    periodic QR (eigenvalues_stabilized), O(n m^3) at every size."""
+    return eigenvalues_stabilized(chain, energy)
 
 
 def shared_spectrum(chain: BlockChain, energy: complex,

@@ -12,9 +12,9 @@ numerically stabilized routes: singular values accumulated in log space
 through a graded one-sided Jacobi factorization, eigenvalues in log-polar
 form (LogEigenvalues, which also carries the exponents xi_k) through a
 periodic QR iteration and det T_11 from one sweep of the same iteration,
-none of which form the product itself.  The cyclic block-companion
-embedding is kept as the eigenvalue oracle; no run-time route falls back
-to it.
+none of which form the product itself.  The moduli of the cyclic
+block-companion embedding (cyclic_log_moduli) are kept as the test oracle
+of the eigenvalues; no run-time route calls it.
 """
 
 from __future__ import annotations
@@ -177,19 +177,14 @@ class LogEigenvalues:
     """Eigenvalues of T(E) in log-polar form, and the exponents they define.
 
     log_abs[k] + i*phase[k] is one value of log z_k; ``xi`` is the exponent
-    vector log|z_k| / n and ``sum`` its sum.  ``method`` names the route
-    that produced them: "periodic", "cyclic" or "direct".
-    ``phase_reliable`` is False when the replica clustering of the cyclic
-    oracle could not separate phases (the moduli are still trustworthy).
-    ``sweeps`` counts the periodic QR sweeps run (0 for the oracle routes).
+    vector log|z_k| / n and ``sum`` its sum.  ``sweeps`` counts the
+    periodic QR sweeps run.
     """
 
     log_abs: np.ndarray
     phase: np.ndarray
     n: int
     energy: complex
-    method: str
-    phase_reliable: bool = True
     sweeps: int = 0
 
     @property
@@ -213,15 +208,6 @@ class LogEigenvalues:
             else:
                 out[i] = cmath.exp(complex(la, ph))
         return out
-
-
-def _cyclic_embedding(chain: BlockChain, energy: complex) -> np.ndarray:
-    n, d = chain.n, 2 * chain.m
-    big = np.zeros((n * d, n * d), dtype=complex)
-    k = np.arange(n)
-    # block (k + 1 mod n, k) holds t_{k+1}
-    big.reshape(n, d, n, d)[(k + 1) % n, :, k, :] = steps(chain, energy)
-    return big
 
 
 def _periodic_sweep(step_mats: np.ndarray, q0: np.ndarray):
@@ -291,7 +277,7 @@ def eigenvalues_stabilized(chain: BlockChain, energy: complex) -> LogEigenvalues
     decided.  A single eigenvalue comes from the diagonals of the R_k and
     of Q_0^H Q_n, a group from its normalized block product.  Logs and
     angles are summed, so nothing overflows at any chain length.  The
-    cyclic embedding (eigenvalues_cyclic) is an oracle only, never a
+    cyclic embedding (cyclic_log_moduli) is a test oracle only, never a
     fallback; a non-finite value raises EigenConvergenceError.
     """
     step_mats = steps(chain, energy)
@@ -329,74 +315,27 @@ def eigenvalues_stabilized(chain: BlockChain, energy: complex) -> LogEigenvalues
     ph = np.array([wrap_phase(p) for p in logs.imag])
     order = np.lexsort((ph, -la))
     return LogEigenvalues(log_abs=la[order], phase=ph[order], n=chain.n,
-                          energy=complex(energy), method="periodic", sweeps=sweep)
+                          energy=complex(energy), sweeps=sweep)
 
 
-def eigenvalues_cyclic(chain: BlockChain, energy: complex) -> LogEigenvalues:
-    """Eigenvalues of T(E) in log-polar form via the cyclic embedding.
+def cyclic_log_moduli(chain: BlockChain, energy: complex) -> np.ndarray:
+    """log|z_k| of the eigenvalues of T(E), descending, via the cyclic embedding.
 
     The block-cyclic matrix with the t_k on its sub-diagonal has
-    eigenvalues mu with mu^n running over sp(T), each picked up n times.
-    Its entries stay O(max ||t_k||) for any chain length, so log|z_k| is
-    obtained with uniform accuracy where the plain product would overflow
-    or lose the small eigenvalues entirely.  The dense eigensolve costs
-    O((nm)^3): this is the ``--method cyclic`` route and the oracle of
-    eigenvalues_stabilized, which never calls it.
+    eigenvalues mu with mu^n running over sp(T), each picked up n times, so
+    the sorted n log|mu| fall into 2m runs of n replicas of one log|z_k|
+    each; each run's mean is returned.  Entries stay O(max ||t_k||) at any
+    chain length, so the moduli keep uniform accuracy where the plain
+    product would overflow.  The dense eigensolve costs O((nm)^3): this is
+    the test oracle of eigenvalues_stabilized, which never calls it.
     """
-    n, m = chain.n, chain.m
-    mus = np.linalg.eigvals(_cyclic_embedding(chain, energy))
-    log_abs = n * np.log(np.abs(mus))
-    phases = np.mod(n * np.angle(mus), 2.0 * math.pi)
-    order = np.argsort(log_abs, kind="stable")
-    log_abs = log_abs[order]
-    phases = phases[order]
-
-    groups = _cluster_replicas(log_abs, phases, n, 2 * m)
-    if groups is None:
-        # fall back to pure modulus blocks; phases marked unreliable
-        blocks = log_abs.reshape(2 * m, n)
-        la = blocks.mean(axis=1)
-        ph = np.array([_circular_mean(phases[i * n:(i + 1) * n]) for i in range(2 * m)])
-        return LogEigenvalues(log_abs=la, phase=np.array([wrap_phase(p) for p in ph]),
-                              n=n, energy=complex(energy), method="cyclic",
-                              phase_reliable=False)
-    la = np.array([g[0] for g in groups])
-    ph = np.array([wrap_phase(g[1]) for g in groups])
-    order = np.lexsort((ph, -la))
-    return LogEigenvalues(log_abs=la[order], phase=ph[order], n=n,
-                          energy=complex(energy), method="cyclic")
-
-
-def _circular_mean(phases: np.ndarray) -> float:
-    return float(np.angle(np.mean(np.exp(1j * phases))))
-
-
-def _cluster_replicas(log_abs: np.ndarray, phases: np.ndarray, n: int, count: int):
-    """Group n-fold replicated (log|z|, phase) points into ``count`` clusters.
-
-    Returns a list of (log_abs, phase) per cluster or None if the expected
-    replica structure is not recognized at tolerance.
-    """
-    scale = max(1.0, float(np.max(np.abs(log_abs))))
-    tol_la = 1e-6 * scale
-    tol_ph = 1e-5
-    points = sorted(zip(log_abs, np.exp(1j * phases)), key=lambda p: p[0])
-    clusters: list[list] = []
-    for la, u in points:
-        placed = False
-        for cl in clusters:
-            c_la, c_u, c_n = cl
-            if abs(la - c_la / c_n) <= tol_la and abs(u - c_u / abs(c_u)) <= math.sqrt(tol_ph):
-                cl[0] += la
-                cl[1] += u
-                cl[2] += 1
-                placed = True
-                break
-        if not placed:
-            clusters.append([la, u, 1])
-    if len(clusters) != count or any(cl[2] != n for cl in clusters):
-        return None
-    return [(cl[0] / cl[2], float(np.angle(cl[1]))) for cl in clusters]
+    n, d = chain.n, 2 * chain.m
+    big = np.zeros((n * d, n * d), dtype=complex)
+    k = np.arange(n)
+    # block (k + 1 mod n, k) holds t_{k+1}
+    big.reshape(n, d, n, d)[(k + 1) % n, :, k, :] = steps(chain, energy)
+    log_abs = n * np.log(np.abs(np.linalg.eigvals(big)))
+    return np.sort(log_abs).reshape(d, n).mean(axis=1)[::-1]
 
 
 # ---------------------------------------------------------------------------

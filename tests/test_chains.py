@@ -170,6 +170,16 @@ def test_model_spec_validation():
         ModelSpec.from_dict({"kind": "explicit", "A": [[[0.0]]]})
     with pytest.raises(ValueError):
         ModelSpec.from_dict({"n": 3})
+    # sizes and seeds are refused, not truncated, unless integral
+    strip = {"kind": "anderson-strip", "n": 4, "m": 2, "w": 1, "seed": 1}
+    for name, bad in [("n", 4.9), ("m", 2.5), ("seed", 1.7), ("m", True),
+                      ("n", False), ("seed", "1")]:
+        with pytest.raises(ValueError, match=f"^model field '{name}' must be "
+                                             f"an integer, got {bad!r}$"):
+            ModelSpec.from_dict({**strip, name: bad})
+    spec = ModelSpec.from_dict({**strip, "n": 40.0, "seed": 3.0})
+    assert (spec.n, spec.seed) == (40, 3)
+    assert type(spec.n) is int and type(spec.seed) is int
 
 
 def test_model_spec_complex_entries():

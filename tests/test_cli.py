@@ -200,6 +200,18 @@ def test_block_size_below_one_is_input_error(tmp_path, capsys):
     assert captured.err == "error: bad model: m must be at least 1, got 0\n"
 
 
+def test_non_integral_size_is_input_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "anderson-strip", "n": 4.9, "m": 2, "w": 1,
+                  "seed": 1},
+        "energy": [0.1, 0.1]})
+    rc = main(["verify", "--config", cfg])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ("error: bad model: model field 'n' must be an "
+                            "integer, got 4.9\n")
+
+
 def test_missing_config_file(capsys):
     rc = main(["verify", "--config", "/does/not/exist.json"])
     assert rc == 2
@@ -306,6 +318,14 @@ def test_exponents_json_and_csv(tridiag_config, tmp_path, capsys):
     assert abs(doc["sum"] - doc["sum_rule"]) <= 1e-8
     lines = csv.read_text().splitlines()
     assert lines[1] == "k,re_z,im_z,xi,pair_id,log_abs_z,arg_z"
+
+
+def test_exponents_has_no_route_selector(tridiag_config, capsys):
+    # periodic QR is the only route: argparse refuses the old flag
+    with pytest.raises(SystemExit) as exc:
+        main(["exponents", "--config", tridiag_config, "--method", "cyclic"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
 
 
 def test_exponents_jensen_block(tridiag_config, capsys):

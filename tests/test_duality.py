@@ -183,6 +183,24 @@ def test_curve_csv_format_and_determinism():
     float(first[0]), float(first[1]), float(first[2]), int(first[3])
 
 
+@pytest.mark.parametrize("phi_steps", [8, 16])
+def test_curve_solves_one_spectrum_per_angle(monkeypatch, phi_steps):
+    # phi = 2 pi closes on the phi = 0 spectrum, not on a fresh eigensolve
+    import blockflow.duality as duality
+
+    calls = []
+    original = duality.assemble_balanced
+
+    def counted(chain, w):
+        calls.append(w)
+        return original(chain, w)
+
+    monkeypatch.setattr(duality, "assemble_balanced", counted)
+    trace_spectral_curve(hatano_nelson(12, -2.0, 2.0, seed=20), xi=0.3,
+                         phi_steps=phi_steps)
+    assert len(calls) == phi_steps
+
+
 def test_curve_rejects_too_few_steps():
     with pytest.raises(ValueError):
         trace_spectral_curve(clean_chain(4), xi=0.5, phi_steps=4)

@@ -6,8 +6,8 @@ below.  The cases cover every route a report can take: a ring
 determinant at extreme |z| (z = 1e120; it takes the same folded band
 route as every other z and no longer selects a ring route of its own),
 the Hermitian checks at complex and at real E, the n = 2 skip notice, a
-block size m = 3, the three exponent routes, the bounds report and a
-spectral-curve CSV.
+block size m = 3, the exponents report with and without the contour
+identity, the bounds report and a spectral-curve CSV.
 
 The golden files are per platform: the reports print every float in full
 (``repr``), so a different numpy/LAPACK build may change the last digits,
@@ -61,7 +61,6 @@ CASES = {
     "verify-two-site": (TWO_SITE, ["verify"], 0),
     "verify-banded-m3": (BANDED, ["verify"], 0),
     "exponents-default": (TRIDIAG, ["exponents"], 0),
-    "exponents-direct": (TRIDIAG, ["exponents", "--method", "direct"], 0),
     "exponents-jensen": (TRIDIAG, ["exponents", "--jensen-xi", "0.02",
                                    "--quad-points", "64"], 0),
     "bounds": (BOUNDS, ["bounds"], 0),

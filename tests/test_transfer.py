@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from blockflow import (ProductOverflowError, eigenvalues_cyclic,
-                       eigenvalues_stabilized, logdet_t11, lu_logdet,
-                       match_spectra, polynomial_coefficients, product,
+from blockflow import (ProductOverflowError, eigenvalues_stabilized,
+                       logdet_t11, lu_logdet, match_spectra,
+                       polynomial_coefficients, product,
                        stabilized_log_singular_values, steps)
 from blockflow.chains import BlockChain
+from blockflow.transfer import LogEigenvalues, cyclic_log_moduli
 from blockflow.linalg import wrap_phase
 
 from conftest import (clean_chain, complex_energies, hermitian_chain,
@@ -143,11 +144,20 @@ def test_eigenvalues_stabilized_match_dense():
         ch = random_chain(n, m, seed)
         e = 0.3 + 0.5j
         want = np.linalg.eigvals(product(ch, e))
-        eig = eigenvalues_stabilized(ch, e)
-        assert eig.phase_reliable
-        got = eig.values()
+        got = eigenvalues_stabilized(ch, e).values()
         pairs, _, ul, ur = match_spectra(got, want, tol=1e-7 * (1 + np.abs(want).max()))
         assert not ul and not ur
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(chain=property_chains, energy=complex_energies)
+def test_eigenvalues_stabilized_match_dense_property(chain, energy):
+    # the cyclic oracle checks moduli only; the phases are checked here
+    # against a plain eigensolve of the formed product
+    want = np.linalg.eigvals(product(chain, energy))
+    got = eigenvalues_stabilized(chain, energy).values()
+    _, _, ul, ur = match_spectra(got, want, tol=1e-7 * (1 + np.abs(want).max()))
+    assert not ul and not ur
 
 
 def test_eigenvalues_stabilized_long_chain():
@@ -162,21 +172,16 @@ def test_eigenvalues_stabilized_long_chain():
     assert eig.xi == pytest.approx(eig.log_abs / 300.0)
 
 
-def test_eigenvalues_degenerate_replicas_fall_back():
-    # at E = 0 the clean 4-site transfer matrix is the identity: all
-    # replicas of the cyclic embedding coincide and phase clustering
-    # cannot resolve them
-    eig = eigenvalues_cyclic(clean_chain(4), 0.0)
-    assert not eig.phase_reliable
-    assert np.allclose(eig.log_abs, 0.0, atol=1e-10)
+def test_cyclic_moduli_of_degenerate_replicas():
+    # at E = 0 the clean 4-site transfer matrix is the identity: all 2m n
+    # eigenvalues of the cyclic embedding lie on the unit circle and every
+    # run of n replicas averages to log|z| = 0
+    assert np.allclose(cyclic_log_moduli(clean_chain(4), 0.0), 0.0, atol=1e-10)
 
 
 def test_values_saturate_on_overflow():
-    from blockflow.transfer import LogEigenvalues
-
     eig = LogEigenvalues(log_abs=np.array([800.0, -800.0]),
-                         phase=np.array([0.0, 0.0]), n=10, energy=0j,
-                         method="periodic")
+                         phase=np.array([0.0, 0.0]), n=10, energy=0j)
     vals = eig.values()
     assert vals[0] == complex(math.inf, 0.0)
     assert vals[1] == 0.0
