@@ -67,7 +67,16 @@ def demko_params_general(matrix) -> DemkoParams:
     s = singular_values(as_matrix(matrix))
     if s[-1] == 0.0:
         raise ValueError("matrix is singular; no decay parameters exist")
-    return demko_params_pd(float(s[-1]) ** 2, float(s[0]) ** 2)
+    s_min, s_max = float(s[-1]), float(s[0])
+    try:
+        params = demko_params_pd(s_min ** 2, s_max ** 2)
+    except OverflowError:
+        params = None
+    # C = (sqrt b + sqrt a)^2 / (2ab) reads 0 once 2ab overflows
+    if params is None or params.c == 0.0:
+        raise ValueError(f"Demko parameters leave double range: sigma_min = "
+                         f"{s_min:.3e}, sigma_max = {s_max:.3e}")
+    return params
 
 
 @dataclass(frozen=True)

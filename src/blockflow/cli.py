@@ -9,9 +9,9 @@ Four subcommands:
 
 The config file is a JSON object; the "model" entry is a ModelSpec
 document and the remaining keys (energy, z, xi, phi, phi_steps,
-quad_points) supply defaults that individual flags override.  Numeric
-results go to stdout as JSON (or CSV where noted) so runs with the same
-config and seed are byte-identical.
+quad_points) supply defaults that individual flags override; any other
+key is refused.  Numeric results go to stdout as JSON (or CSV where
+noted) so runs with the same config and seed are byte-identical.
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 invalid
 input (bad config, singular blocks, contour through an exponent, ...).
@@ -94,6 +94,13 @@ def _load_config(path: str | None) -> dict:
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("config must be a JSON object")
+    # the keys some subcommand reads, so one config drives all four
+    known = {"model", "energy", "z", "xi", "phi", "phi_steps", "quad_points"}
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise InputError(f"config {path}: unknown key(s) "
+                         f"{', '.join(map(repr, unknown))}; known keys are "
+                         f"{', '.join(sorted(known))}")
     return doc
 
 
@@ -111,7 +118,7 @@ def _build_chain(config: dict) -> tuple[BlockChain, dict]:
     return chain, summary
 
 
-def _resolve(args, config: dict, key: str, flag_value, convert, default=None):
+def _resolve(config: dict, key: str, flag_value, convert, default=None):
     """Flag beats config beats default; config numbers must be finite."""
     if flag_value is not None:
         return flag_value
@@ -135,7 +142,7 @@ def _config_complex(raw) -> complex:
 
 
 def _require_energy(args, config) -> complex:
-    energy = _resolve(args, config, "energy", args.energy, _config_complex)
+    energy = _resolve(config, "energy", args.energy, _config_complex)
     if energy is None:
         raise InputError("an energy is required (--energy RE,IM or config 'energy')")
     return energy
@@ -185,12 +192,11 @@ def _cmd_verify(args) -> int:
     config = _load_config(args.config)
     chain, model_summary = _build_chain(config)
     energy = _require_energy(args, config)
-    z = _resolve(args, config, "z",
-                 None if args.z is None else _parse_complex(args.z, "--z"),
+    z = _resolve(config, "z", None if args.z is None else _parse_complex(args.z, "--z"),
                  _config_complex)
     if z is None:
-        xi = _resolve(args, config, "xi", args.xi, float, DEFAULT_XI)
-        phi = _resolve(args, config, "phi", args.phi, float, DEFAULT_PHI)
+        xi = _resolve(config, "xi", args.xi, float, DEFAULT_XI)
+        phi = _resolve(config, "phi", args.phi, float, DEFAULT_PHI)
         arg = chain.n * xi
         if abs(arg) > 690.0:
             raise InputError(f"n*xi = {arg:.1f} overflows z = e^(n xi + i phi); "
@@ -327,11 +333,11 @@ def _curve_svg(curve: SpectralCurve) -> str:
 def _cmd_curve(args) -> int:
     config = _load_config(args.config)
     chain, model_summary = _build_chain(config)
-    xi = _resolve(args, config, "xi", args.xi, float)
+    xi = _resolve(config, "xi", args.xi, float)
     if xi is None:
         raise InputError("curve requires --xi (or config 'xi')")
     _require_exp_range(xi, "--xi" if args.xi is not None else "config field 'xi'")
-    phi_steps = _resolve(args, config, "phi_steps", args.phi_steps, int, 64)
+    phi_steps = _resolve(config, "phi_steps", args.phi_steps, int, 64)
     curve = trace_spectral_curve(chain, xi, phi_steps=phi_steps)
     buf = io.StringIO()
     curve.to_csv(buf)
@@ -374,7 +380,7 @@ def _cmd_exponents(args) -> int:
         "phase_reliable": True,
     }
     if args.jensen_xi is not None:
-        quad = _resolve(args, config, "quad_points", args.quad_points, int, 256)
+        quad = _resolve(config, "quad_points", args.quad_points, int, 256)
         report = jensen_identity_check(chain, energy, args.jensen_xi,
                                        quad_points=quad, spectrum=spectrum)
         doc["jensen"] = report.to_dict()

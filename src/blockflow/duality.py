@@ -60,18 +60,15 @@ class DualityReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        def _num(x):
-            return "neg_inf" if x == float("-inf") else x
-
         return {
             "check": self.name,
             "E": [self.energy.real, self.energy.imag],
             "z": None if self.z is None else [self.z.real, self.z.imag],
-            "lhs_log": _num(self.lhs.log_modulus),
-            "rhs_log": _num(self.rhs.log_modulus),
+            "lhs_log": self.lhs.log_modulus,
+            "rhs_log": self.rhs.log_modulus,
             "lhs_phase": self.lhs.phase,
             "rhs_phase": self.rhs.phase,
-            "residual_log": _num(self.residual_log),
+            "residual_log": self.residual_log,
             "residual_phase": self.residual_phase,
             "tol_log": self.tol_log,
             "tol_phase": self.tol_phase,

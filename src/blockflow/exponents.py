@@ -249,8 +249,8 @@ def hadamard_fisher_bound(chain: BlockChain, energy: complex,
                                 passed=bool(slack >= -1e-9 * max(1.0, abs(rhs))))
 
 
-def exponent_csv(spectrum: LogEigenvalues, stream, pair_ids=None) -> None:
-    """Write the spectrum as CSV: k, re_z, im_z, xi, pair_id.
+def exponent_csv(spectrum: LogEigenvalues, stream) -> None:
+    """Write the spectrum as CSV: k, re_z, im_z, xi, pair_id (always -1).
 
     Values of z beyond double range are written as their log-polar parts
     in the extra columns and the sentinel 'overflow' in re_z/im_z.
@@ -264,5 +264,4 @@ def exponent_csv(spectrum: LogEigenvalues, stream, pair_ids=None) -> None:
         else:
             z = cmath.exp(complex(la, ph))
             re_s, im_s = repr(z.real), repr(z.imag)
-        pid = -1 if pair_ids is None else int(pair_ids[k])
-        stream.write(f"{k},{re_s},{im_s},{float(spectrum.xi[k])!r},{pid},{la!r},{ph!r}\n")
+        stream.write(f"{k},{re_s},{im_s},{float(spectrum.xi[k])!r},-1,{la!r},{ph!r}\n")

@@ -97,11 +97,6 @@ class LogDet:
         return LogDet(self.log_modulus - other.log_modulus,
                       wrap_phase(self.phase - other.phase))
 
-    def pow(self, k: int) -> "LogDet":
-        if self.is_zero:
-            return LogDet(float("-inf"), 0.0) if k > 0 else LogDet(0.0, 0.0)
-        return LogDet(k * self.log_modulus, wrap_phase(k * self.phase))
-
     @property
     def is_zero(self) -> bool:
         return self.log_modulus == float("-inf")

@@ -212,6 +212,48 @@ def test_non_integral_size_is_input_error(tmp_path, capsys):
                             "integer, got 4.9\n")
 
 
+@pytest.mark.parametrize("command, extra, key", [
+    ("curve", {"xi": 0.3, "phi_step": 16}, "'phi_step'"),
+    ("exponents", {"method": "cyclic"}, "'method'"),
+])
+def test_unknown_config_key_is_input_error(tmp_path, capsys, command, extra, key):
+    # a misspelt or retired key must not fall back to a default silently
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "random-tridiag", "n": 10, "seed": 7,
+                  "interval": [-2, 2]},
+        "energy": [0.4, 0.3], **extra})
+    rc = main([command, "--config", cfg])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert key in captured.err and "unknown key" in captured.err
+
+
+def test_one_config_drives_all_subcommands(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "random-tridiag", "n": 10, "seed": 7,
+                  "interval": [-2, 2]},
+        "energy": [0.4, 0.3], "z": [1.2, 0.1], "xi": 0.3, "phi": 0.5,
+        "phi_steps": 8, "quad_points": 64})
+    for command in ("verify", "exponents", "bounds", "curve"):
+        assert main([command, "--config", cfg]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("energy", ["1e300", "1e100"])
+def test_bounds_beyond_double_range_is_named(tridiag_config, capsys, energy):
+    # far from the spectrum sigma^2 of h - E (1e300) or the 2ab of the
+    # Demko constant (1e100) overflows
+    rc = main(["bounds", "--config", tridiag_config, "--energy", energy])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    sigma = f"{float(energy):.3e}"
+    assert captured.err == ("error: Demko parameters leave double range: "
+                            f"sigma_min = {sigma}, sigma_max = {sigma}\n")
+
+
 def test_missing_config_file(capsys):
     rc = main(["verify", "--config", "/does/not/exist.json"])
     assert rc == 2
