@@ -72,8 +72,10 @@ def demko_params_general(matrix) -> DemkoParams:
         params = demko_params_pd(s_min ** 2, s_max ** 2)
     except OverflowError:
         params = None
-    # C = (sqrt b + sqrt a)^2 / (2ab) reads 0 once 2ab overflows
-    if params is None or params.c == 0.0:
+    # C = (sqrt b + sqrt a)^2 / (2ab) reads 0 once 2ab overflows, and q
+    # rounds to 0 once sigma_max / sigma_min is 1 to the last bit, which
+    # far from the spectrum happens before that
+    if params is None or params.c == 0.0 or params.q == 0.0:
         raise ValueError(f"Demko parameters leave double range: sigma_min = "
                          f"{s_min:.3e}, sigma_max = {s_max:.3e}")
     return params
@@ -191,7 +193,7 @@ def check_corner_decay(chain: BlockChain, energy: complex) -> CornerDecayReport:
     corner_n1 = float(np.max(np.abs(corners.gn1)))
     worst = max(corner_1n, corner_n1, 1e-300)
     measured_rate = math.log(worst) / n
-    bound_rate = 0.5 * math.log(params.q) if params.q > 0 else -math.inf
+    bound_rate = 0.5 * math.log(params.q)
     return CornerDecayReport(params=params, n=n,
                              corner_1n=corner_1n, corner_n1=corner_n1,
                              bound_1n=bound_1n, bound_n1=bound_n1,
@@ -258,7 +260,7 @@ def dichotomy(chain: BlockChain, energy: complex,
                * (float(np.linalg.norm(chain.a[0] - energy * eye, 2))
                   + float(np.linalg.norm(chain.b[0], 2)))
                * params.q ** -1.5)
-    log_q = math.log(params.q) if params.q > 0 else -math.inf
+    log_q = math.log(params.q)
     log_hi = -(n / 2.0) * log_q - math.log(k_const)
     log_lo = math.log(k_const) + (n / 2.0) * log_q
     logs = stabilized_log_singular_values(chain, energy)

@@ -29,6 +29,10 @@ from .linalg import raise_first_singular
 #: hopping blocks with |det| at or below this are resampled by generators
 EPS_INV = 1e-3
 
+#: most candidate bands banded_random tests per numpy call; at 40 blocks
+#: of 4 one chunk of draws is about 0.36 MB
+_MAX_CHUNK = 32
+
 
 @dataclass(frozen=True)
 class BlockChain:
@@ -112,18 +116,13 @@ def random_tridiag(n: int, low: float, high: float, seed: int) -> BlockChain:
     """
     rng = np.random.default_rng(seed)
     a = rng.uniform(low, high, size=n)
-
-    def draw(count):
-        out = np.empty(count)
-        for i in range(count):
-            x = rng.uniform(low, high)
-            while abs(x) <= EPS_INV:
-                x = rng.uniform(low, high)
-            out[i] = x
-        return out
-
-    b = draw(n)
-    c = draw(n)
+    # b and c are the first n and the next n draws after a with
+    # |x| > EPS_INV, the values a one-draw-at-a-time redraw loop keeps
+    hops = np.empty(0)
+    while hops.size < 2 * n:
+        x = rng.uniform(low, high, size=2 * n)
+        hops = np.concatenate([hops, x[np.abs(x) > EPS_INV]])
+    b, c = hops[:n], hops[n:2 * n]
     return BlockChain(a=a.astype(complex).reshape(n, 1, 1),
                       b=b.astype(complex).reshape(n, 1, 1),
                       c=c.astype(complex).reshape(n, 1, 1))
@@ -152,9 +151,19 @@ def banded_random(n_sites: int, b: int, low: float, high: float, seed: int) -> B
     """Chain obtained by partitioning a random banded matrix into b x b blocks.
 
     The full n_sites x n_sites matrix has i.i.d. uniform entries inside the
-    band |i - j| <= b and is redrawn until every hopping block satisfies
-    |det| > EPS_INV.  The partition makes B_k lower triangular and C_k
-    upper triangular; b = 1 recovers the random tridiagonal layout.
+    band |i - j| <= b, drawn in row-major order, and is redrawn until every
+    hopping block satisfies |det| > EPS_INV.  The partition makes B_k lower
+    triangular and C_k upper triangular, with diagonals on the outermost
+    band diagonals |i - j| = b; b = 1 recovers the random tridiagonal
+    layout.  So the accept test reads only the product of those
+    2 (n - 1) b diagonal entries, and it tests a chunk of candidate bands
+    per numpy call.  The PCG64 stream is unchanged: after the first
+    accepted band, the generator is moved to where one-band-at-a-time
+    draws would leave it, so the ring-closure blocks B_n and C_1 come
+    from the same draws as before.  The chains are bit-identical to those
+    of earlier releases, which took an LU determinant of each hopping
+    block: the two tests can part only where rounding straddles EPS_INV,
+    and the test suite compares them bitwise.
     """
     if n_sites % b != 0:
         raise ValueError(f"n_sites={n_sites} not divisible by block size b={b}")
@@ -165,15 +174,33 @@ def banded_random(n_sites: int, b: int, low: float, high: float, seed: int) -> B
     idx = np.arange(n_sites)
     band = np.abs(idx[:, None] - idx[None, :]) <= b
     count = int(band.sum())
-    k = np.arange(n)
+    # position in the draw order of every band entry, then of the
+    # diagonals of B_1..B_{n-1} (row k b + p, column (k + 1) b + p) and
+    # of C_2..C_n (the transposed positions)
+    order = np.zeros((n_sites, n_sites), dtype=np.intp)
+    order[band] = np.arange(count)
+    hop_diagonals = np.concatenate([order[idx[:-b], idx[b:]],
+                                    order[idx[b:], idx[:-b]]]).reshape(2 * (n - 1), b)
+    # a chunk of c rows draws the same doubles as c successive bands;
+    # growing it from 1 keeps a first-draw accept as cheap as one band
+    chunk = 1
     while True:
-        full = np.zeros((n_sites, n_sites))
-        full[band] = rng.uniform(low, high, size=count)
-        blocks = full.reshape(n, b, n, b).swapaxes(1, 2)
-        hop_up = blocks[k[:-1], k[1:]]
-        hop_dn = blocks[k[1:], k[:-1]]
-        if np.abs(np.linalg.det(np.concatenate([hop_up, hop_dn]))).min() > EPS_INV:
+        state = rng.bit_generator.state
+        draws = rng.uniform(low, high, size=(chunk, count))
+        accepted = np.abs(draws[:, hop_diagonals].prod(axis=2)).min(axis=1) > EPS_INV
+        if accepted.any():
             break
+        chunk = min(2 * chunk, _MAX_CHUNK)
+    hit = int(np.argmax(accepted))
+    # one double takes one 64-bit PCG64 output; advance wants a Python int
+    rng.bit_generator.state = state
+    rng.bit_generator.advance((hit + 1) * count)
+    full = np.zeros((n_sites, n_sites))
+    full[band] = draws[hit]
+    blocks = full.reshape(n, b, n, b).swapaxes(1, 2)
+    k = np.arange(n)
+    hop_up = blocks[k[:-1], k[1:]]
+    hop_dn = blocks[k[1:], k[:-1]]
     a = blocks[k, k].astype(complex)
     bk = np.empty((n, b, b), dtype=complex)
     ck = np.empty((n, b, b), dtype=complex)

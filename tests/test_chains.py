@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -90,6 +91,99 @@ def test_banded_random_round_trip():
     for k in range(ch.n):
         assert abs(np.linalg.det(ch.b[k])) > EPS_INV
         assert abs(np.linalg.det(ch.c[k])) > EPS_INV
+
+
+def _digest(chain):
+    return hashlib.sha256(chain.a.tobytes() + chain.b.tobytes()
+                          + chain.c.tobytes()).hexdigest()
+
+
+# sha256 of (a, b, c).tobytes(), pinned so a change of the generators'
+# draw order or accept test shows as a different chain, not as a report
+# that happens to stay within tolerance
+BANDED_RANDOM_DIGESTS = [
+    # the long-chain benchmark size, 40 blocks of 4
+    ((160, 4, -1.0, 1.0, 101744),
+     "5069cfb2f42837ea9f58032408ffaa93df93607a9996218a5f628cbee3ed9dd0"),
+    ((160, 4, -1.0, 1.0, 544724),
+     "029fb01f25eaa945214dedcd61b42c9ccab769197f83149d1e5544966b1baeee"),
+    ((160, 4, -1.0, 1.0, 469881),
+     "5b29ad37508257e9851c41ecd389005e53de4bbbc2740b606b839b49d727b3fe"),
+    ((12, 2, -1.0, 1.0, 42),
+     "9ba7675c6f578b3c1e77c3949ba52bede50a98a10740612a3f658765a0e0560b"),
+    ((18, 3, -1.0, 1.0, 5),
+     "565e1be8f9558b0b7ff064c73e6cb363778179f8305a2f004a1adb4965b06200"),
+    ((8, 1, -2.0, 2.0, 7),
+     "d722508eaa9564c97aa088d214365d05a41d00d78b1ad43738fbdbe5b53a2ac9"),
+    ((24, 3, -0.5, 1.5, 9),
+     "c0c2737f194b83c63923bd02a92c8339037d89b0c8e296fa1c5899c3cdc1fffc"),
+]
+
+RANDOM_TRIDIAG_DIGESTS = [
+    # the README config
+    ((12, -2.0, 2.0, 7),
+     "ecd56ee70233e1ed537b6b5833ae19de44347f66b710f13b4f21915ab3b519c7"),
+    # narrow intervals, where a tenth and two thirds of the draws are redrawn
+    ((40, -0.01, 0.01, 3),
+     "d189879abd5cdc58b59924c979fd5eb32ba1cdc04210a3301c93ec1c8a51fe67"),
+    ((30, -1e-3, 2e-3, 11),
+     "427c133b520051db3e197512af6476226d2c04254cd85ec6c0e87da76ab4a3fb"),
+]
+
+
+@pytest.mark.parametrize("args, digest", BANDED_RANDOM_DIGESTS)
+def test_banded_random_pinned(args, digest):
+    assert _digest(banded_random(*args)) == digest
+
+
+@pytest.mark.parametrize("args, digest", RANDOM_TRIDIAG_DIGESTS)
+def test_random_tridiag_pinned(args, digest):
+    assert _digest(random_tridiag(*args)) == digest
+
+
+def _banded_random_by_det(n_sites, b, low, high, seed):
+    """banded_random as first written: redraw the whole band, one LU
+    determinant per hopping block, until every |det| > EPS_INV."""
+    n = n_sites // b
+    rng = np.random.default_rng(seed)
+    idx = np.arange(n_sites)
+    band = np.abs(idx[:, None] - idx[None, :]) <= b
+    count = int(band.sum())
+    k = np.arange(n)
+    while True:
+        full = np.zeros((n_sites, n_sites))
+        full[band] = rng.uniform(low, high, size=count)
+        blocks = full.reshape(n, b, n, b).swapaxes(1, 2)
+        hop_up = blocks[k[:-1], k[1:]]
+        hop_dn = blocks[k[1:], k[:-1]]
+        if np.abs(np.linalg.det(np.concatenate([hop_up, hop_dn]))).min() > EPS_INV:
+            break
+    a = blocks[k, k].astype(complex)
+    bk = np.empty((n, b, b), dtype=complex)
+    ck = np.empty((n, b, b), dtype=complex)
+    bk[: n - 1] = hop_up
+    ck[1:] = hop_dn
+    bk[n - 1] = np.tril(rng.uniform(low, high, size=(b, b)))
+    ck[0] = np.triu(rng.uniform(low, high, size=(b, b)))
+    while abs(np.linalg.det(bk[n - 1])) <= EPS_INV:
+        bk[n - 1] = np.tril(rng.uniform(low, high, size=(b, b)))
+    while abs(np.linalg.det(ck[0])) <= EPS_INV:
+        ck[0] = np.triu(rng.uniform(low, high, size=(b, b)))
+    return BlockChain(a=a, b=bk, c=ck)
+
+
+def test_banded_random_matches_det_oracle():
+    # 540 small cases over block size, block count and seed, on an
+    # interval centred at 0 and on one that is not
+    cases = [(n * b, b, low, high, seed)
+             for b in (1, 2, 3) for n in (2, 3, 4, 5, 6, 7)
+             for low, high in ((-1.0, 1.0), (-0.3, 1.1))
+             for seed in range(15)]
+    assert len(cases) >= 500
+    for case in cases:
+        got, want = banded_random(*case), _banded_random_by_det(*case)
+        for x, y in ((got.a, want.a), (got.b, want.b), (got.c, want.c)):
+            assert x.tobytes() == y.tobytes(), case
 
 
 def test_banded_random_rejects_bad_partition():

@@ -241,10 +241,10 @@ def test_one_config_drives_all_subcommands(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("energy", ["1e300", "1e100"])
+@pytest.mark.parametrize("energy", ["1e300", "1e100", "1e20"])
 def test_bounds_beyond_double_range_is_named(tridiag_config, capsys, energy):
     # far from the spectrum sigma^2 of h - E (1e300) or the 2ab of the
-    # Demko constant (1e100) overflows
+    # Demko constant (1e100) overflows, or q rounds to 0 (1e20)
     rc = main(["bounds", "--config", tridiag_config, "--energy", energy])
     captured = capsys.readouterr()
     assert rc == 2
