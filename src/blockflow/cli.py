@@ -220,7 +220,7 @@ def _cmd_verify(args) -> int:
     except (ResolventSingularError, CornerSingularError, ProductOverflowError) as exc:
         notices.append(f"transfer-routes skipped: {exc}")
 
-    record(check_open_duality(chain, energy, tol_log=tol_log))
+    record(check_open_duality(chain, energy, tol_log=tol_log, spectrum=spectrum))
 
     if chain.n >= 3:
         record(check_duality(chain, energy, z, tol_log=tol_log,

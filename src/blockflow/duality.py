@@ -36,7 +36,7 @@ from .hamiltonian import assemble_balanced, log_minus_z, logdet_open, ring_band
 from .linalg import (LogDet, logdet_blocks, match_spectra, match_tolerance,
                      wrap_phase)
 from .resolvent import transfer_from_resolvent
-from .transfer import LogEigenvalues, logdet_t11, product
+from .transfer import LogEigenvalues, product
 
 #: default acceptance tolerances for the identity checks
 TOL_LOG = 1e-7
@@ -153,12 +153,16 @@ def check_duality(chain: BlockChain, energy: complex, z: complex,
 
 def check_open_duality(chain: BlockChain, energy: complex,
                        tol_log: float = TOL_LOG,
-                       tol_phase: float | None = None) -> DualityReport:
-    """Compare det[E - h] with det T(E)_11 * det[B_1..B_n]."""
+                       tol_phase: float | None = None,
+                       spectrum: LogEigenvalues | None = None) -> DualityReport:
+    """Compare det[E - h] with det T(E)_11 * det[B_1..B_n].
+
+    det T_11 is the det_t11 of the transfer spectrum, ``spectrum`` if given.
+    """
     if tol_phase is None:
         tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
     lhs = logdet_open(chain, energy)
-    rhs = logdet_t11(chain, energy) * logdet_blocks(chain.b)
+    rhs = shared_spectrum(chain, energy, spectrum).det_t11 * logdet_blocks(chain.b)
     return _compare("open-duality", energy, None, lhs, rhs, tol_log, tol_phase)
 
 

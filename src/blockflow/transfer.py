@@ -9,10 +9,11 @@ and the n-step matrix is the ordered product T(E) = t_n ... t_1, returned
 by product as a plain 2m x 2m array.  Entries of T grow like
 exp(n * xi_max), so alongside the plain product this module provides
 numerically stabilized routes: singular values accumulated in log space
-through a graded one-sided Jacobi factorization, eigenvalues in log-polar
-form (LogEigenvalues, which also carries the exponents xi_k) through a
-periodic QR iteration and det T_11 from one sweep of the same iteration,
-none of which form the product itself.  The moduli of the cyclic
+through a graded one-sided Jacobi factorization, and eigenvalues in
+log-polar form through a periodic QR iteration, neither of which forms the
+product itself.  The iteration's first sweep factors T = Q_n R_n ... R_1,
+so the spectrum (LogEigenvalues, which also carries the exponents xi_k)
+carries det T_11 from that sweep as well.  The moduli of the cyclic
 block-companion embedding (cyclic_log_moduli) are kept as the test oracle
 of the eigenvalues; no run-time route calls it.
 """
@@ -177,14 +178,16 @@ class LogEigenvalues:
     """Eigenvalues of T(E) in log-polar form, and the exponents they define.
 
     log_abs[k] + i*phase[k] is one value of log z_k; ``xi`` is the exponent
-    vector log|z_k| / n and ``sum`` its sum.  ``sweeps`` counts the
-    periodic QR sweeps run.
+    vector log|z_k| / n and ``sum`` its sum.  ``det_t11`` is det T(E)_11,
+    taken from the first sweep.  ``sweeps`` counts the periodic QR sweeps
+    run.
     """
 
     log_abs: np.ndarray
     phase: np.ndarray
     n: int
     energy: complex
+    det_t11: LogDet
     sweeps: int = 0
 
     @property
@@ -213,10 +216,8 @@ class LogEigenvalues:
 def _periodic_sweep(step_mats: np.ndarray, q0: np.ndarray):
     """Solve t_k Q_{k-1} = Q_k R_k for k = 1..n; returns (Q_n, [R_k]).
 
-    ``q0`` has p <= 2m orthonormal columns; the R_k come back in its shape,
-    zero below row p.  Calls LAPACK geqrf/ungqr directly (the factorization
-    numpy.linalg.qr runs) to skip its per-call overhead, which dominates at
-    2m x 2m.
+    Calls LAPACK geqrf/ungqr directly (the factorization numpy.linalg.qr
+    runs) to skip its per-call overhead, which dominates at 2m x 2m.
     """
     geqrf, ungqr = scipy.linalg.get_lapack_funcs(("geqrf", "ungqr"), (step_mats,))
     factors = np.empty((len(step_mats), *q0.shape), dtype=step_mats.dtype)
@@ -225,21 +226,6 @@ def _periodic_sweep(step_mats: np.ndarray, q0: np.ndarray):
         factors[k], tau, _, _ = geqrf(step @ q)
         q, _, _ = ungqr(factors[k], tau)
     return q, np.triu(factors)
-
-
-def logdet_t11(chain: BlockChain, energy: complex) -> LogDet:
-    """det T(E)_11 as a LogDet without forming T, O(n m^3).
-
-    One periodic QR sweep from Q_0 = [I_m; 0] factors the first block
-    column T[:, :m] = Q_n R_n ... R_1, so det T_11 = det(Q_n[:m]) times the
-    diagonals of the R_k, whose logs and angles are summed; nothing
-    overflows at any chain length.
-    """
-    m = chain.m
-    qn, rs = _periodic_sweep(steps(chain, energy), np.eye(2 * m, m, dtype=complex))
-    diag = np.diagonal(rs, axis1=1, axis2=2)
-    return lu_logdet(qn[:m]) * LogDet(float(np.sum(np.log(np.abs(diag)))),
-                                      wrap_phase(float(np.sum(np.angle(diag)))))
 
 
 def _group_log_eigenvalues(closing: np.ndarray, rs: np.ndarray) -> np.ndarray:
@@ -278,15 +264,23 @@ def eigenvalues_stabilized(chain: BlockChain, energy: complex) -> LogEigenvalues
     of Q_0^H Q_n, a group from its normalized block product.  Logs and
     angles are summed, so nothing overflows at any chain length.  The
     cyclic embedding (cyclic_log_moduli) is a test oracle only, never a
-    fallback; a non-finite value raises EigenConvergenceError.
+    fallback; a non-finite value raises EigenConvergenceError.  The first
+    sweep, from Q_0 = I, also gives det T_11 (the det_t11 field).
     """
     step_mats = steps(chain, energy)
-    d = 2 * chain.m
+    m, d = chain.m, 2 * chain.m
     q0 = np.eye(d, dtype=complex)
     previous = np.full(d - 1, np.inf)
     was_slow = np.zeros(d - 1, dtype=bool)
     for sweep in range(1, MAX_SWEEPS + 1):
         qn, rs = _periodic_sweep(step_mats, q0)
+        if sweep == 1:
+            # Q_0 = I: det T_11 = det Q_n[:m, :m] times the R_k[:m, :m] diagonals
+            diag = np.diagonal(rs[:, :m, :m], axis1=1, axis2=2)
+            with np.errstate(divide="ignore"):
+                log_r = float(np.sum(np.log(np.abs(diag))))
+            det_t11 = lu_logdet(qn[:m, :m]) * LogDet(
+                log_r, wrap_phase(float(np.sum(np.angle(diag)))))
         closing = q0.conj().T @ qn
         defect = np.array([np.max(np.abs(closing[p:, :p])) for p in range(1, d)])
         converged = defect <= TOL_BOUNDARY
@@ -315,7 +309,7 @@ def eigenvalues_stabilized(chain: BlockChain, energy: complex) -> LogEigenvalues
     ph = np.array([wrap_phase(p) for p in logs.imag])
     order = np.lexsort((ph, -la))
     return LogEigenvalues(log_abs=la[order], phase=ph[order], n=chain.n,
-                          energy=complex(energy), sweeps=sweep)
+                          energy=complex(energy), det_t11=det_t11, sweeps=sweep)
 
 
 def cyclic_log_moduli(chain: BlockChain, energy: complex) -> np.ndarray:

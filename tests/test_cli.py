@@ -104,6 +104,42 @@ def test_verify_computes_the_spectrum_once(tmp_path, capsys, monkeypatch,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("model, energy", [
+    ({"kind": "hatano-nelson", "n": 60, "seed": 14, "interval": [-3.5, 3.5]},
+     [0.4, 0.9]),
+    ({"kind": "banded-random", "n": 18, "m": 3, "seed": 4, "interval": [-1, 1]},
+     [0.3, 0.5]),
+])
+def test_verify_runs_one_periodic_factorization(tmp_path, capsys, monkeypatch,
+                                                model, energy):
+    # open duality takes det T_11 from the spectrum's first sweep: no
+    # check runs a periodic QR sweep of its own
+    import blockflow.exponents as exponents
+    import blockflow.transfer as transfer
+
+    spectra, sweeps = [], []
+    original_spectrum = exponents.eigenvalues_stabilized
+    original_sweep = transfer._periodic_sweep
+
+    def counted_spectrum(chain, e):
+        spectra.append(original_spectrum(chain, e))
+        return spectra[-1]
+
+    def counted_sweep(step_mats, q0):
+        sweeps.append(q0.shape)
+        return original_sweep(step_mats, q0)
+
+    monkeypatch.setattr(exponents, "eigenvalues_stabilized", counted_spectrum)
+    monkeypatch.setattr(transfer, "_periodic_sweep", counted_sweep)
+    cfg = write_config(tmp_path, {"model": model, "energy": energy})
+    assert main(["verify", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "open-duality" in [c["check"] for c in doc["checks"]]
+    assert len(spectra) == 1
+    assert len(sweeps) == spectra[0].sweeps
+    assert all(rows == cols for rows, cols in sweeps)
+
+
 def test_bounds_computes_the_demko_params_once(tmp_path, capsys, monkeypatch):
     # check_corner_decay hands its parameters of h - E on to dichotomy
     import blockflow.bounds as bounds

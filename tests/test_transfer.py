@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from blockflow import (ProductOverflowError, eigenvalues_stabilized,
-                       logdet_t11, lu_logdet, match_spectra,
-                       polynomial_coefficients, product,
-                       stabilized_log_singular_values, steps)
+from blockflow import (LogDet, ProductOverflowError, eigenvalues_stabilized,
+                       lu_logdet, match_spectra, polynomial_coefficients,
+                       product, stabilized_log_singular_values, steps)
 from blockflow.chains import BlockChain
 from blockflow.transfer import LogEigenvalues, cyclic_log_moduli
 from blockflow.linalg import wrap_phase
@@ -89,7 +88,7 @@ def test_logdet_t11_matches_the_product():
         ch = random_chain(n, m, seed)
         e = 0.35 - 0.7j
         want = lu_logdet(product(ch, e)[:m, :m])
-        got = logdet_t11(ch, e)
+        got = eigenvalues_stabilized(ch, e).det_t11
         assert got.log_modulus == pytest.approx(want.log_modulus, abs=1e-10)
         assert wrap_phase(got.phase - want.phase) == pytest.approx(0.0, abs=1e-10)
 
@@ -181,7 +180,8 @@ def test_cyclic_moduli_of_degenerate_replicas():
 
 def test_values_saturate_on_overflow():
     eig = LogEigenvalues(log_abs=np.array([800.0, -800.0]),
-                         phase=np.array([0.0, 0.0]), n=10, energy=0j)
+                         phase=np.array([0.0, 0.0]), n=10, energy=0j,
+                         det_t11=LogDet(0.0, 0.0))
     vals = eig.values()
     assert vals[0] == complex(math.inf, 0.0)
     assert vals[1] == 0.0
