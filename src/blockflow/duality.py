@@ -101,28 +101,25 @@ def _require_ring(chain: BlockChain, who: str) -> None:
             "inner hoppings and the identity checks are skipped")
 
 
-def _logdet_zi_minus_t(eig: LogEigenvalues, z: complex) -> LogDet:
+def _logdet_zi_minus_t(eig: LogEigenvalues, log_z: complex) -> LogDet:
     """log det[zI - T(E)] = sum_k log(z - z_k) from the eigenvalues of T.
 
-    The z_k are known only in log-polar form, so this never forms T: it
-    holds at any chain length, and no difference of huge entries cancels.
+    z is passed as log z and the z_k are known only in log-polar form, so
+    this forms neither z, 1/z nor T: it holds at any chain length and any
+    |z|.  Each factor is taken relative to the larger of |z| and |z_k|,
+    log z + log(1 - z_k/z) or log(-z_k) + log(1 - z/z_k), so the ratio
+    never exceeds 1 in modulus and no difference of huge values cancels.
     """
     total = LogDet(0.0, 0.0)
-    log_z = math.log(abs(z))
     for la, ph in zip(eig.log_abs, eig.phase):
-        if la - log_z > 45.0:
-            # z_k dominates: log(-z_k) plus a relative correction
-            ratio = cmath.exp(complex(log_z - la, cmath.phase(z) - ph))
-            term = complex(la, ph + math.pi) + cmath.log(1.0 - ratio)
-        elif log_z - la > 45.0:
-            ratio = cmath.exp(complex(la - log_z, ph - cmath.phase(z)))
-            term = cmath.log(z) + cmath.log(1.0 - ratio)
+        log_zk = complex(la, ph)
+        if log_z.real >= la:
+            lead, ratio = log_z, cmath.exp(log_zk - log_z)
         else:
-            zk = cmath.exp(complex(la, ph))
-            diff = z - zk
-            if diff == 0:
-                return LogDet(float("-inf"), 0.0)
-            term = cmath.log(diff)
+            lead, ratio = log_zk + complex(0.0, math.pi), cmath.exp(log_z - log_zk)
+        if ratio == 1.0:
+            return LogDet(float("-inf"), 0.0)
+        term = lead + cmath.log(1.0 - ratio)
         total = total * LogDet(term.real, wrap_phase(term.imag))
     return total
 
@@ -145,8 +142,9 @@ def check_duality(chain: BlockChain, energy: complex, z: complex,
     if tol_phase is None:
         tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
     eig = shared_spectrum(chain, energy, spectrum)
-    lhs = _logdet_zi_minus_t(eig, z) * logdet_blocks(chain.b)
-    ring = ring_band(chain, energy).logdet(cmath.exp(cmath.log(z) / chain.n))
+    log_z = cmath.log(z)
+    lhs = _logdet_zi_minus_t(eig, log_z) * logdet_blocks(chain.b)
+    ring = ring_band(chain, energy).logdet(cmath.exp(log_z / chain.n))
     rhs = log_minus_z(z, chain.m) * ring
     return _compare("duality", energy, z, lhs, rhs, tol_log, tol_phase)
 
@@ -186,9 +184,10 @@ def check_symmetric_duality(chain: BlockChain, energy: complex, z: complex,
         tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
     eig = shared_spectrum(chain, energy, spectrum)
     det_t = LogDet(float(np.sum(eig.log_abs)), wrap_phase(float(np.sum(eig.phase))))
-    lhs = _logdet_zi_minus_t(eig, z) * _logdet_zi_minus_t(eig, 1.0 / z) / det_t
+    log_z = cmath.log(z)
+    lhs = _logdet_zi_minus_t(eig, log_z) * _logdet_zi_minus_t(eig, -log_z) / det_t
     band = ring_band(chain, energy)
-    w = cmath.exp(cmath.log(z) / chain.n)
+    w = cmath.exp(log_z / chain.n)
     rhs = (band.logdet(w) * band.logdet(1.0 / w)
            / logdet_blocks(chain.b) / logdet_blocks(chain.c))
     return _compare("symmetric-duality", energy, z, lhs, rhs, tol_log, tol_phase)

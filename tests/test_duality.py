@@ -118,6 +118,16 @@ def test_duality_extreme_boundary_factor():
     assert rep.passed, rep.to_dict()
 
 
+@pytest.mark.parametrize("z", [1e-310, 1e-320])
+def test_identities_hold_at_subnormal_z(z):
+    # 1/z overflows double range here: the symmetric form takes -log z
+    ch = random_chain(12, 1, seed=7)
+    for check in (check_duality, check_symmetric_duality):
+        rep = check(ch, 0.4 + 0.3j, z)
+        assert rep.passed, rep.to_dict()
+        assert math.isfinite(rep.lhs.log_modulus)
+
+
 def test_duality_product_overflow_fallback():
     # long disordered chain: the plain product overflows, the stabilized
     # eigenvalues do not
