@@ -108,12 +108,22 @@ def hatano_nelson(n: int, diag_low: float, diag_high: float, seed: int) -> Block
     return BlockChain(a=a, b=ones.copy(), c=ones.copy())
 
 
+def _require_accepting(low: float, high: float, b: int) -> None:
+    """ValueError unless a triangular b x b block of draws from [low, high]
+    can have |det| > EPS_INV, so that a redraw loop ends."""
+    if max(abs(low), abs(high)) ** b <= EPS_INV:
+        raise ValueError(
+            f"interval [{low!r}, {high!r}] admits no hopping block with "
+            f"|det| > EPS_INV = {EPS_INV!r}: max(|low|, |high|)^{b} is at most that")
+
+
 def random_tridiag(n: int, low: float, high: float, seed: int) -> BlockChain:
     """Scalar chain with all of a_k, b_k, c_k drawn uniform on [low, high].
 
     Off-diagonal draws with |value| <= EPS_INV are redrawn so the chain
-    is comfortably invertible.
+    is comfortably invertible; an interval with no such draw is refused.
     """
+    _require_accepting(low, high, 1)
     rng = np.random.default_rng(seed)
     a = rng.uniform(low, high, size=n)
     # b and c are the first n and the next n draws after a with
@@ -163,8 +173,10 @@ def banded_random(n_sites: int, b: int, low: float, high: float, seed: int) -> B
     from the same draws as before.  The chains are bit-identical to those
     of earlier releases, which took an LU determinant of each hopping
     block: the two tests can part only where rounding straddles EPS_INV,
-    and the test suite compares them bitwise.
+    and the test suite compares them bitwise.  An interval with no
+    accepted band is refused.
     """
+    _require_accepting(low, high, b)
     if n_sites % b != 0:
         raise ValueError(f"n_sites={n_sites} not divisible by block size b={b}")
     n = n_sites // b

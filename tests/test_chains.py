@@ -141,6 +141,19 @@ def test_random_tridiag_pinned(args, digest):
     assert _digest(random_tridiag(*args)) == digest
 
 
+@pytest.mark.parametrize("build, args", [
+    (random_tridiag, (12, -5e-4, 5e-4, 7)),
+    # |x| <= EPS_INV on the whole interval, bound included
+    (random_tridiag, (12, -1e-3, 1e-3, 7)),
+    # 0.09^3 < EPS_INV: no triangular 3 x 3 block is accepted
+    (banded_random, (12, 3, -0.09, 0.05, 7)),
+])
+def test_generators_refuse_intervals_with_no_accepted_draw(build, args):
+    # the redraw loops would never end: refused before the first draw
+    with pytest.raises(ValueError, match="admits no hopping block"):
+        build(*args)
+
+
 def _banded_random_by_det(n_sites, b, low, high, seed):
     """banded_random as first written: redraw the whole band, one LU
     determinant per hopping block, until every |det| > EPS_INV."""

@@ -236,6 +236,20 @@ def test_block_size_below_one_is_input_error(tmp_path, capsys):
     assert captured.err == "error: bad model: m must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize("model", [
+    {"kind": "random-tridiag", "n": 12, "seed": 7, "interval": [-5e-4, 5e-4]},
+    {"kind": "banded-random", "n": 12, "m": 3, "seed": 7,
+     "interval": [-0.09, 0.05]},
+])
+def test_interval_with_no_accepted_draw_is_input_error(tmp_path, capsys, model):
+    cfg = write_config(tmp_path, {"model": model, "energy": [0.4, 0.3]})
+    rc = main(["verify", "--config", cfg])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: bad model: interval ")
+    assert captured.err.count("\n") == 1
+
+
 def test_non_integral_size_is_input_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "model": {"kind": "anderson-strip", "n": 4.9, "m": 2, "w": 1,
