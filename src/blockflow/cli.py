@@ -481,11 +481,11 @@ def main(argv=None) -> int:
             if getattr(args, flag, None) is not None:
                 _require_finite(getattr(args, flag), "--" + flag.replace("_", "-"))
         return args.func(args)
-    except (ValueError, ArithmeticError, EigenConvergenceError) as exc:
+    except (ValueError, ArithmeticError, EigenConvergenceError, MemoryError) as exc:
         # InputError, singular blocks or corners, contours through an
-        # exponent, product overflow, values beyond double range and
-        # iterations that did not converge
-        print(f"error: {exc}", file=sys.stderr)
+        # exponent, product overflow, values beyond double range,
+        # iterations that did not converge and sizes beyond memory
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

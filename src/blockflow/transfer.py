@@ -218,13 +218,22 @@ def _periodic_sweep(step_mats: np.ndarray, q0: np.ndarray):
 
     Calls LAPACK geqrf/ungqr directly (the factorization numpy.linalg.qr
     runs) to skip its per-call overhead, which dominates at 2m x 2m.
+    Raises ProductOverflowError if a product t_k Q_{k-1} leaves double
+    range.
     """
     geqrf, ungqr = scipy.linalg.get_lapack_funcs(("geqrf", "ungqr"), (step_mats,))
     factors = np.empty((len(step_mats), *q0.shape), dtype=step_mats.dtype)
     q = q0
-    for k, step in enumerate(step_mats):
-        factors[k], tau, _, _ = geqrf(step @ q)
-        q, _, _ = ungqr(factors[k], tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, step in enumerate(step_mats):
+            factors[k], tau, _, _ = geqrf(step @ q)
+            q, _, _ = ungqr(factors[k], tau)
+    # a non-finite factor carries on into every later one: name the first
+    finite = np.isfinite(factors).all(axis=(1, 2))
+    if not finite.all():
+        raise ProductOverflowError(
+            f"periodic QR left double range at step {int(np.argmin(finite)) + 1} "
+            f"of {len(step_mats)}")
     return q, np.triu(factors)
 
 
@@ -264,8 +273,9 @@ def eigenvalues_stabilized(chain: BlockChain, energy: complex) -> LogEigenvalues
     of Q_0^H Q_n, a group from its normalized block product.  Logs and
     angles are summed, so nothing overflows at any chain length.  The
     cyclic embedding (cyclic_log_moduli) is a test oracle only, never a
-    fallback; a non-finite value raises EigenConvergenceError.  The first
-    sweep, from Q_0 = I, also gives det T_11 (the det_t11 field).
+    fallback; a non-finite value raises EigenConvergenceError, and a sweep
+    that leaves double range ProductOverflowError naming E and the step.
+    The first sweep, from Q_0 = I, also gives det T_11 (the det_t11 field).
     """
     step_mats = steps(chain, energy)
     m, d = chain.m, 2 * chain.m
@@ -273,7 +283,10 @@ def eigenvalues_stabilized(chain: BlockChain, energy: complex) -> LogEigenvalues
     previous = np.full(d - 1, np.inf)
     was_slow = np.zeros(d - 1, dtype=bool)
     for sweep in range(1, MAX_SWEEPS + 1):
-        qn, rs = _periodic_sweep(step_mats, q0)
+        try:
+            qn, rs = _periodic_sweep(step_mats, q0)
+        except ProductOverflowError as exc:
+            raise ProductOverflowError(f"{exc} at E={complex(energy)!r}") from None
         if sweep == 1:
             # Q_0 = I: det T_11 = det Q_n[:m, :m] times the R_k[:m, :m] diagonals
             diag = np.diagonal(rs[:, :m, :m], axis1=1, axis2=2)

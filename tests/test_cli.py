@@ -495,3 +495,37 @@ def test_jacobi_non_convergence_is_one_error_line(tmp_path, capsys, monkeypatch)
     assert captured.out == ""
     assert captured.err == ("error: graded Jacobi orthogonalization did not "
                             "converge\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["verify", "exponents"])
+@pytest.mark.parametrize("energy", ["1e308", "-1.7e308", "0,1e308"])
+def test_energy_beyond_double_range_is_one_error_line(tridiag_config, capsys,
+                                                      command, energy):
+    # the one-step matrices overflow: the periodic QR sweep names E and the
+    # step instead of leaking a floating-point warning
+    rc = main([command, "--config", tridiag_config, f"--energy={energy}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    named = repr(complex(*(float(part) for part in energy.split(","))))
+    assert captured.err.startswith("error: periodic QR left double range at step ")
+    assert captured.err.endswith(f" of 10 at E={named}\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_out_of_memory_is_one_error_line(tridiag_config, capsys, monkeypatch):
+    # stands in for curve --phi-steps 1000000000000, whose arrays would
+    # take terabytes
+    import blockflow.cli as cli
+
+    def exhausted(chain, xi, phi_steps):
+        raise MemoryError(f"cannot hold {phi_steps} angles")
+
+    monkeypatch.setattr(cli, "trace_spectral_curve", exhausted)
+    rc = main(["curve", "--config", tridiag_config, "--xi", "0.3",
+               "--phi-steps", "1000000000000"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: cannot hold 1000000000000 angles\n"
