@@ -257,7 +257,7 @@ def _link(prev: np.ndarray, curr: np.ndarray, tol: float):
     perm = np.empty(len(prev), dtype=int)
     for i, j in pairs:
         perm[i] = j
-    nearest = np.sort(np.abs(prev[:, None] - curr[None, :]), axis=1)
+    nearest = np.partition(np.abs(prev[:, None] - curr[None, :]), 1, axis=1)
     return perm, np.flatnonzero(nearest[:, 1] - nearest[:, 0] < tol).tolist()
 
 
