@@ -111,10 +111,12 @@ def hatano_nelson(n: int, diag_low: float, diag_high: float, seed: int) -> Block
 def _require_accepting(low: float, high: float, b: int) -> None:
     """ValueError unless a triangular b x b block of draws from [low, high]
     can have |det| > EPS_INV, so that a redraw loop ends."""
-    if max(abs(low), abs(high)) ** b <= EPS_INV:
+    # clamped at 1, where the power cannot overflow and stays above EPS_INV
+    largest = min(max(abs(low), abs(high)), 1.0) ** b
+    if largest <= EPS_INV:
         raise ValueError(
             f"interval [{low!r}, {high!r}] admits no hopping block with "
-            f"|det| > EPS_INV = {EPS_INV!r}: max(|low|, |high|)^{b} is at most that")
+            f"|det| > EPS_INV = {EPS_INV!r}: max(|low|, |high|)^{b} = {largest!r}")
 
 
 def random_tridiag(n: int, low: float, high: float, seed: int) -> BlockChain:
