@@ -19,7 +19,9 @@ oracles.
 The spectral-curve tracer sweeps the flux angle phi at fixed radial
 exponent xi and links the eigenvalue trajectories of the balanced ring
 matrix into closed loops; for an exponent separated from the spectrum the
-loops are the level sets |z_k(E)| = e^{n xi} of the duality.
+loops are the level sets |z_k(E)| = e^{n xi} of the duality.  With real
+blocks the spectrum at 2 pi - phi is the conjugate of the one at phi, so
+N angles take N//2 + 1 dense eigensolves; complex blocks take N.
 """
 
 from __future__ import annotations
@@ -251,14 +253,45 @@ def _link(prev: np.ndarray, curr: np.ndarray, tol: float):
 
     Returns (perm, ambiguous_slots): perm[s] is the index in curr matched
     to prev[s]; a slot is ambiguous when its best two candidates are
-    closer than tol apart (a braid crossing at this resolution).
+    closer than tol apart (a braid crossing at this resolution).  When
+    every row's nearest candidate is clear of its second by tol and no two
+    rows share one, the row argmins are the permutation the greedy
+    ``match_spectra`` returns, so it runs only otherwise.
     """
+    dist = np.abs(prev[:, None] - curr[None, :])
+    nearest = np.partition(dist, 1, axis=1)
+    gap = nearest[:, 1] - nearest[:, 0]
+    ambiguous = np.flatnonzero(gap < tol).tolist()
+    perm = dist.argmin(axis=1)
+    taken = np.zeros(len(curr), dtype=bool)
+    taken[perm] = True
+    if np.all(gap >= tol) and taken.all():
+        return perm, ambiguous
     pairs, _, _, _ = match_spectra(prev, curr, tol=math.inf)
     perm = np.empty(len(prev), dtype=int)
     for i, j in pairs:
         perm[i] = j
-    nearest = np.partition(np.abs(prev[:, None] - curr[None, :]), 1, axis=1)
-    return perm, np.flatnonzero(nearest[:, 1] - nearest[:, 0] < tol).tolist()
+    return perm, ambiguous
+
+
+def _ring_spectra(chain: BlockChain, xi: float, phis: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the balanced ring at w = exp(xi + i phi / n), one row
+    per angle of phis = 2 pi j / N, j = 0..N-1, in LAPACK's order.
+
+    For real blocks H_bal(conj w) = conj H_bal(w), and the spectrum is
+    invariant under w -> w exp(2 pi i / n), so the spectrum at phi_{N-j}
+    is the conjugate of the one at phi_j: only j = 0..N//2 are solved.
+    Complex blocks take one eigensolve per angle.
+    """
+    steps = len(phis)
+    real = not any(np.any(blocks.imag) for blocks in (chain.a, chain.b, chain.c))
+    solved = steps // 2 + 1 if real else steps
+    spectra = np.empty((steps, chain.n * chain.m), dtype=complex)
+    for j in range(solved):
+        w = cmath.exp(complex(xi, phis[j] / chain.n))
+        spectra[j] = np.linalg.eigvals(assemble_balanced(chain, w))
+    spectra[solved:] = spectra[steps - np.arange(solved, steps)].conj()
+    return spectra
 
 
 def trace_spectral_curve(chain: BlockChain, xi: float,
@@ -269,37 +302,28 @@ def trace_spectral_curve(chain: BlockChain, xi: float,
     matched between consecutive angles by nearest neighbour; the loop
     structure is the cycle decomposition of the permutation collected
     around the full period (the spectrum at phi = 2 pi equals the one at
-    phi = 0).
+    phi = 0).  Real blocks take phi_steps // 2 + 1 eigensolves and mirror
+    the rest by conjugation; complex blocks take phi_steps.
     """
     if phi_steps < 8:
         raise ValueError("phi_steps must be at least 8")
-    n, m = chain.n, chain.m
-    size = n * m
+    size = chain.n * chain.m
     phis = np.linspace(0.0, 2.0 * math.pi, phi_steps, endpoint=False)
-    samples = np.empty((phi_steps, size), dtype=complex)
+    samples = _ring_spectra(chain, xi, phis)
     notes: list[str] = []
 
-    def spectrum(phi: float) -> np.ndarray:
-        w = cmath.exp(complex(xi, phi / n))
-        vals = np.linalg.eigvals(assemble_balanced(chain, w))
-        return vals
-
-    first = spectrum(phis[0])
+    tol = match_tolerance(samples[0])
     # deterministic start order: real part, then imaginary part
-    start_order = np.lexsort((first.imag, first.real))
-    samples[0] = first[start_order]
-    tol = match_tolerance(first)
+    first = samples[0]
+    samples[0] = first[np.lexsort((first.imag, first.real))]
     ambiguous_slots: set[int] = set()
 
-    prev = samples[0]
     for i in range(1, phi_steps):
-        curr = spectrum(phis[i])
-        perm, amb = _link(prev, curr, tol)
-        samples[i] = curr[perm]
+        perm, amb = _link(samples[i - 1], samples[i], tol)
+        samples[i] = samples[i][perm]
         ambiguous_slots.update(amb)
-        prev = samples[i]
     # the spectrum at phi = 2 pi is the one at phi = 0: close on samples[0]
-    monodromy, amb = _link(prev, samples[0], tol)
+    monodromy, amb = _link(samples[-1], samples[0], tol)
     ambiguous_slots.update(amb)
 
     loop_id = -np.ones(size, dtype=int)

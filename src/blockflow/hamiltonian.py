@@ -171,9 +171,13 @@ def ring_band(chain: BlockChain, energy: complex) -> RingBand:
 
 
 def log_minus_z(z: complex, m: int) -> LogDet:
-    """LogDet of (-z)^m, the prefactor of the ring/transfer duality."""
+    """LogDet of (-z)^m, the prefactor of the ring/transfer duality.
+
+    log|z| and arg z both come from cmath.log(z), which keeps every bit
+    at deeply subnormal z, where abs(z) rounds to a few digits.
+    """
     z = complex(z)
     if z == 0:
         raise ValueError("z must be nonzero")
-    return LogDet(m * math.log(abs(z)),
-                  wrap_phase(m * (cmath.phase(z) + math.pi)))
+    log_z = cmath.log(z)
+    return LogDet(m * log_z.real, wrap_phase(m * (log_z.imag + math.pi)))

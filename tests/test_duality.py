@@ -1,17 +1,19 @@
+import cmath
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
-from blockflow import (assemble_bloch, assemble_open, banded_random,
-                       check_duality, check_open_duality,
-                       check_symmetric_duality, check_transfer_routes,
-                       exponent_spectrum, hatano_nelson, lu_logdet, product,
-                       trace_spectral_curve)
+from blockflow import (assemble_balanced, assemble_bloch, assemble_open,
+                       banded_random, chain_to_spec, check_duality,
+                       check_open_duality, check_symmetric_duality,
+                       check_transfer_routes, exponent_spectrum, hatano_nelson,
+                       lu_logdet, product, trace_spectral_curve)
 from blockflow.hamiltonian import log_minus_z
-from blockflow.linalg import wrap_phase
+from blockflow.linalg import match_spectra, wrap_phase
 
 from conftest import (clean_chain, complex_energies, property_chains,
                       random_chain, separated_z, z_draws)
@@ -128,6 +130,15 @@ def test_identities_hold_at_subnormal_z(z):
         assert math.isfinite(rep.lhs.log_modulus)
 
 
+def test_duality_at_deeply_subnormal_complex_z():
+    # abs(z) keeps about two digits of |z| = 6.96e-320 (the prefactor
+    # log|z| was then off by 3e-5); cmath.log(z) keeps them all
+    ch = random_chain(3, 1, seed=0)
+    rep = check_duality(ch, 0.3 + 0.2j, cmath.rect(6.96e-320, 2.5))
+    assert rep.passed, rep.to_dict()
+    assert rep.residual_log <= 1e-12
+
+
 def test_duality_product_overflow_fallback():
     # long disordered chain: the plain product overflows, the stabilized
     # eigenvalues do not
@@ -193,9 +204,18 @@ def test_curve_csv_format_and_determinism():
     float(first[0]), float(first[1]), float(first[2]), int(first[3])
 
 
-@pytest.mark.parametrize("phi_steps", [8, 16])
+def _full_sweep(chain, xi, phis):
+    """The ring spectra with one eigensolve per angle: the oracle for the
+    conjugate mirror of real-block chains."""
+    return np.array([np.linalg.eigvals(assemble_balanced(
+        chain, cmath.exp(complex(xi, phi / chain.n)))) for phi in phis])
+
+
+@pytest.mark.parametrize("phi_steps", [8, 13, 16])
 def test_curve_solves_one_spectrum_per_angle(monkeypatch, phi_steps):
-    # phi = 2 pi closes on the phi = 0 spectrum, not on a fresh eigensolve
+    # phi = 2 pi closes on the phi = 0 spectrum, not on a fresh eigensolve;
+    # real blocks solve j = 0..N//2 and take phi_{N-j} as the conjugate of
+    # phi_j, complex blocks solve every angle
     import blockflow.duality as duality
 
     calls = []
@@ -208,7 +228,80 @@ def test_curve_solves_one_spectrum_per_angle(monkeypatch, phi_steps):
     monkeypatch.setattr(duality, "assemble_balanced", counted)
     trace_spectral_curve(hatano_nelson(12, -2.0, 2.0, seed=20), xi=0.3,
                          phi_steps=phi_steps)
+    assert len(calls) == phi_steps // 2 + 1
+    calls.clear()
+    explicit = chain_to_spec(random_chain(5, 2, seed=21)).build()
+    assert np.any(explicit.b.imag)
+    trace_spectral_curve(explicit, xi=0.3, phi_steps=phi_steps)
     assert len(calls) == phi_steps
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 10), m=st.integers(1, 3), phi_steps=st.integers(8, 40),
+       real=st.booleans(), xi=st.floats(-1.0, 1.0), seed=st.integers(0, 10**6))
+def test_curve_matches_full_sweep(n, m, phi_steps, real, xi, seed):
+    import blockflow.duality as duality
+
+    chain = random_chain(n, m, seed, complex_entries=not real)
+    got = trace_spectral_curve(chain, xi, phi_steps)
+    with mock.patch.object(duality, "_ring_spectra", _full_sweep):
+        want = trace_spectral_curve(chain, xi, phi_steps)
+    assert np.array_equal(got.loop_id, want.loop_id)
+    assert got.n_loops == want.n_loops
+    assert got.ambiguous == want.ambiguous
+    scale = np.max(np.abs(want.samples))
+    assert np.max(np.abs(got.samples - want.samples)) <= 1e-12 * scale
+
+
+def _greedy_perm(prev, curr):
+    pairs, _, _, _ = match_spectra(prev, curr, tol=math.inf)
+    perm = np.empty(len(prev), dtype=int)
+    for i, j in pairs:
+        perm[i] = j
+    return perm
+
+
+def _check_link(prev, curr, tol):
+    import blockflow.duality as duality
+
+    perm, ambiguous = duality._link(prev, curr, tol)
+    assert np.array_equal(perm, _greedy_perm(prev, curr))
+    nearest = np.partition(np.abs(prev[:, None] - curr[None, :]), 1, axis=1)
+    assert ambiguous == np.flatnonzero(nearest[:, 1] - nearest[:, 0] < tol).tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(size=st.integers(2, 12), noise=st.sampled_from([1e-9, 1e-3, 0.1, 1.0]),
+       seed=st.integers(0, 10**6))
+def test_link_matches_greedy_matching(size, noise, seed):
+    # curr is a shuffled, perturbed prev: small noise takes the argmin path,
+    # noise near the spacing makes argmins collide and slots near-tie
+    rng = np.random.default_rng(seed)
+    prev = rng.normal(size=size) + 1j * rng.normal(size=size)
+    curr = rng.permutation(prev) + noise * (rng.normal(size=size)
+                                            + 1j * rng.normal(size=size))
+    _check_link(prev, curr, 1e-7 * (1 + np.max(np.abs(prev))))
+
+
+@pytest.mark.parametrize("prev, curr", [
+    # both rows are nearest to curr[0]: the argmins collide
+    ([0.0, 0.1], [0.04, 1.0]),
+    # row 0 near-ties between curr[0] and curr[1]
+    ([0.0, 5.0, 9.0], [0.5, -0.5 + 1e-12, 5.1]),
+])
+def test_link_falls_back_to_greedy_matching(monkeypatch, prev, curr):
+    import blockflow.duality as duality
+
+    calls = []
+    original = duality.match_spectra
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "match_spectra", counted)
+    _check_link(np.array(prev, dtype=complex), np.array(curr, dtype=complex), 1e-7)
+    assert len(calls) == 1
 
 
 def test_curve_rejects_too_few_steps():
