@@ -33,6 +33,10 @@ EPS_INV = 1e-3
 #: of 4 one chunk of draws is about 0.36 MB
 _MAX_CHUNK = 32
 
+#: most redraws a generator makes of one thing (a band, a ring-closure
+#: block, a round of hopping draws) before it refuses the interval
+_MAX_REDRAWS = 1 << 16
+
 
 @dataclass(frozen=True)
 class BlockChain:
@@ -119,11 +123,18 @@ def _require_accepting(low: float, high: float, b: int) -> None:
             f"|det| > EPS_INV = {EPS_INV!r}: max(|low|, |high|)^{b} = {largest!r}")
 
 
+def _redraws_exhausted(low: float, high: float, what: str) -> ValueError:
+    return ValueError(
+        f"interval [{low!r}, {high!r}] gave no {what} with |det| > EPS_INV = "
+        f"{EPS_INV!r} in {_MAX_REDRAWS} redraws: it is too narrow")
+
+
 def random_tridiag(n: int, low: float, high: float, seed: int) -> BlockChain:
     """Scalar chain with all of a_k, b_k, c_k drawn uniform on [low, high].
 
     Off-diagonal draws with |value| <= EPS_INV are redrawn so the chain
-    is comfortably invertible; an interval with no such draw is refused.
+    is comfortably invertible; an interval with no such draw, or one that
+    still lacks them after _MAX_REDRAWS rounds of 2n draws, is refused.
     """
     _require_accepting(low, high, 1)
     rng = np.random.default_rng(seed)
@@ -131,9 +142,13 @@ def random_tridiag(n: int, low: float, high: float, seed: int) -> BlockChain:
     # b and c are the first n and the next n draws after a with
     # |x| > EPS_INV, the values a one-draw-at-a-time redraw loop keeps
     hops = np.empty(0)
+    rounds = 0
     while hops.size < 2 * n:
+        if rounds == _MAX_REDRAWS:
+            raise _redraws_exhausted(low, high, f"set of {2 * n} hoppings")
         x = rng.uniform(low, high, size=2 * n)
         hops = np.concatenate([hops, x[np.abs(x) > EPS_INV]])
+        rounds += 1
     b, c = hops[:n], hops[n:2 * n]
     return BlockChain(a=a.astype(complex).reshape(n, 1, 1),
                       b=b.astype(complex).reshape(n, 1, 1),
@@ -176,7 +191,8 @@ def banded_random(n_sites: int, b: int, low: float, high: float, seed: int) -> B
     of earlier releases, which took an LU determinant of each hopping
     block: the two tests can part only where rounding straddles EPS_INV,
     and the test suite compares them bitwise.  An interval with no
-    accepted band is refused.
+    accepted band is refused, and so is one that gives no accepted band
+    or ring-closure block within _MAX_REDRAWS redraws.
     """
     _require_accepting(low, high, b)
     if n_sites % b != 0:
@@ -197,13 +213,19 @@ def banded_random(n_sites: int, b: int, low: float, high: float, seed: int) -> B
                                     order[idx[b:], idx[:-b]]]).reshape(2 * (n - 1), b)
     # a chunk of c rows draws the same doubles as c successive bands;
     # growing it from 1 keeps a first-draw accept as cheap as one band
-    chunk = 1
+    chunk, tested = 1, 0
     while True:
         state = rng.bit_generator.state
         draws = rng.uniform(low, high, size=(chunk, count))
-        accepted = np.abs(draws[:, hop_diagonals].prod(axis=2)).min(axis=1) > EPS_INV
+        # a product or determinant that overflows to inf or nan below
+        # still decides the test; errstate only keeps the warning off stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            accepted = np.abs(draws[:, hop_diagonals].prod(axis=2)).min(axis=1) > EPS_INV
         if accepted.any():
             break
+        tested += chunk
+        if tested >= _MAX_REDRAWS:
+            raise _redraws_exhausted(low, high, "band")
         chunk = min(2 * chunk, _MAX_CHUNK)
     hit = int(np.argmax(accepted))
     # one double takes one 64-bit PCG64 output; advance wants a Python int
@@ -224,10 +246,14 @@ def banded_random(n_sites: int, b: int, low: float, high: float, seed: int) -> B
     # triangular shape so the chain stays in the same family
     bk[n - 1] = np.tril(rng.uniform(low, high, size=(b, b)))
     ck[0] = np.triu(rng.uniform(low, high, size=(b, b)))
-    while abs(np.linalg.det(bk[n - 1])) <= EPS_INV:
-        bk[n - 1] = np.tril(rng.uniform(low, high, size=(b, b)))
-    while abs(np.linalg.det(ck[0])) <= EPS_INV:
-        ck[0] = np.triu(rng.uniform(low, high, size=(b, b)))
+    for block, shape, name in ((bk[n - 1], np.tril, "B_n"), (ck[0], np.triu, "C_1")):
+        redraws = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while abs(np.linalg.det(block)) <= EPS_INV:
+                if redraws == _MAX_REDRAWS:
+                    raise _redraws_exhausted(low, high, f"ring-closure block {name}")
+                block[...] = shape(rng.uniform(low, high, size=(b, b)))
+                redraws += 1
     return BlockChain(a=a, b=bk, c=ck)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,38 @@ def test_generators_refuse_intervals_with_no_accepted_draw(build, args):
     # the redraw loops would never end: refused before the first draw
     with pytest.raises(ValueError, match="admits no hopping block"):
         build(*args)
+
+
+@pytest.mark.parametrize("build, args, what", [
+    # 0.1^3 rounds to just above EPS_INV, so the up-front check passes,
+    # yet no 3 x 3 band block on [-0.1, 0.05] is ever accepted
+    (banded_random, (12, 3, -0.1, 0.05, 7), "no band"),
+    # one draw in about 5e15 lies outside [-EPS_INV, EPS_INV]
+    (random_tridiag, (12, -1.0000000000000002e-3, 1.0000000000000002e-3, 7),
+     "no set of 24 hoppings"),
+])
+def test_generators_refuse_nearly_impossible_intervals(build, args, what):
+    # the redraw loops stop at _MAX_REDRAWS instead of running forever
+    with pytest.raises(ValueError, match=f"gave {what} with .* 65536 redraws"):
+        build(*args)
+
+
+def test_banded_random_caps_ring_closure_redraws(monkeypatch):
+    # seed 13 accepts its first band, then draws C_1 twice below EPS_INV
+    import blockflow.chains as chains
+
+    monkeypatch.setattr(chains, "_MAX_REDRAWS", 1)
+    with pytest.raises(ValueError, match="no ring-closure block C_1 .* 1 redraws"):
+        banded_random(6, 3, -0.3, 0.3, seed=13)
+
+
+def test_banded_random_on_a_huge_interval_warns_nothing():
+    # products and determinants overflow to inf in the accept tests, which
+    # must decide without a RuntimeWarning reaching the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ch = banded_random(12, 3, -1e200, 1e200, seed=1)
+    assert np.all(np.isfinite(ch.b)) and np.abs(ch.b).max() > 1e190
 
 
 def _banded_random_by_det(n_sites, b, low, high, seed):

@@ -240,6 +240,9 @@ def test_block_size_below_one_is_input_error(tmp_path, capsys):
     {"kind": "random-tridiag", "n": 12, "seed": 7, "interval": [-5e-4, 5e-4]},
     {"kind": "banded-random", "n": 12, "m": 3, "seed": 7,
      "interval": [-0.09, 0.05]},
+    # passes the up-front check, then exhausts the band redraws
+    {"kind": "banded-random", "n": 12, "m": 3, "seed": 7,
+     "interval": [-0.1, 0.05]},
 ])
 def test_interval_with_no_accepted_draw_is_input_error(tmp_path, capsys, model):
     cfg = write_config(tmp_path, {"model": model, "energy": [0.4, 0.3]})
