@@ -282,17 +282,24 @@ def _blocks_from_json(data, what: str) -> np.ndarray:
     return arr
 
 
-def _integer_field(doc: dict, name: str, default: int | None) -> int | None:
-    """doc[name] as an int: an integral float such as 40.0 passes, anything
+def as_integer(value) -> int:
+    """value as an int: an integral float such as 40.0 passes, anything
     else but an integer (a bool, 4.9, a string) is refused, not truncated."""
-    if name not in doc:
-        return default
-    value = doc[name]
     if isinstance(value, bool) or not (
             isinstance(value, numbers.Integral)
             or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"model field {name!r} must be an integer, got {value!r}")
+        raise ValueError(f"must be an integer, got {value!r}")
     return int(value)
+
+
+def _integer_field(doc: dict, name: str, default: int | None) -> int | None:
+    """doc[name] through as_integer, or ``default`` when it is absent."""
+    if name not in doc:
+        return default
+    try:
+        return as_integer(doc[name])
+    except ValueError as exc:
+        raise ValueError(f"model field {name!r} {exc}") from None
 
 
 @dataclass(frozen=True)

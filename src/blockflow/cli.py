@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from .bounds import check_corner_decay, dichotomy
-from .chains import BlockChain, ModelSpec
+from .chains import BlockChain, ModelSpec, as_integer
 from .duality import (TOL_LOG, SpectralCurve, check_duality, check_open_duality,
                       check_symmetric_duality, check_transfer_routes,
                       trace_spectral_curve)
@@ -337,7 +337,7 @@ def _cmd_curve(args) -> int:
     if xi is None:
         raise InputError("curve requires --xi (or config 'xi')")
     _require_exp_range(xi, "--xi" if args.xi is not None else "config field 'xi'")
-    phi_steps = _resolve(config, "phi_steps", args.phi_steps, int, 64)
+    phi_steps = _resolve(config, "phi_steps", args.phi_steps, as_integer, 64)
     curve = trace_spectral_curve(chain, xi, phi_steps=phi_steps)
     buf = io.StringIO()
     curve.to_csv(buf)
@@ -380,7 +380,7 @@ def _cmd_exponents(args) -> int:
         "phase_reliable": True,
     }
     if args.jensen_xi is not None:
-        quad = _resolve(config, "quad_points", args.quad_points, int, 256)
+        quad = _resolve(config, "quad_points", args.quad_points, as_integer, 256)
         report = jensen_identity_check(chain, energy, args.jensen_xi,
                                        quad_points=quad, spectrum=spectrum)
         doc["jensen"] = report.to_dict()

@@ -241,11 +241,13 @@ class SpectralCurve:
         stream.write("# blockflow-csv v1\n")
         stream.write(f"# spectral curve, xi={self.xi!r}\n")
         stream.write("phi,re_E,im_E,loop_id\n")
-        for i, phi in enumerate(self.phis):
-            for s in range(self.samples.shape[1]):
-                e = self.samples[i, s]
-                stream.write(f"{float(phi)!r},{float(e.real)!r},"
-                             f"{float(e.imag)!r},{int(self.loop_id[s])}\n")
+        suffixes = [f",{lid}\n" for lid in self.loop_id.tolist()]
+        # one row at a time: the whole sample matrix as Python floats would
+        # double the writer's peak memory
+        for phi, row in zip(self.phis.tolist(), self.samples):
+            head = f"{phi!r},"
+            stream.write("".join(f"{head}{re!r},{im!r}{suffix}" for re, im, suffix
+                                 in zip(row.real.tolist(), row.imag.tolist(), suffixes)))
 
 
 def _link(prev: np.ndarray, curr: np.ndarray, tol: float):

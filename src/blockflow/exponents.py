@@ -16,8 +16,9 @@ finite n:
 
 Quadratures are periodic trapezoid sums, spectrally accurate because the
 integrand is analytic in phi whenever the contour stays away from the
-exponents.  Sums over nodes use pairwise accumulation (math.fsum) so
-results are independent of summation order.
+exponents; their node values come from 2m + 1 ring determinants, whatever
+the node count (see _flux_values).  Sums over nodes use math.fsum, which
+rounds only once, so results are independent of summation order.
 """
 
 from __future__ import annotations
@@ -85,23 +86,45 @@ def _flux_values(chain: BlockChain, energy: complex, xi: float,
                  quad_points: int) -> list[float]:
     """log|det[H(e^{n xi + i phi_j}) - E]| at phi_j = 2 pi j / quad_points.
 
-    Evaluated through the balanced gauge, which is similar to H(z) with
-    entries O(e^{|xi|}), as one folded band LU per node (see ring_band);
-    the trapezoid rule (their mean) on a periodic analytic integrand
-    converges geometrically to the flux average.
+    z enters H(z) only through the m x m corner blocks C_1/z and z*B_n, so
+    det[E - H(z)] is a Laurent polynomial in z of degree m each way and, on
+    the contour, a trigonometric polynomial of degree m in phi.  Its values
+    at the 2m + 1 angles 2 pi k / (2m + 1), each one folded band LU of the
+    balanced ring (see ring_band), fix its coefficients through one DFT;
+    the node values are those 2m + 1 terms summed, exact up to rounding
+    whatever quad_points is.  The samples are scaled by their largest
+    modulus first, so no value overflows.  The trapezoid rule (the mean of
+    the node values) on this periodic analytic integrand converges
+    geometrically to the flux average.
     """
-    n = chain.n
+    n, m = chain.n, chain.m
+    # the node arrays come first, so a quad_points beyond memory fails at once
+    phis = 2.0 * math.pi * np.arange(quad_points) / quad_points
+    values = np.empty(quad_points, dtype=complex)
     band = ring_band(chain, energy)
-    values = []
-    for j in range(quad_points):
-        phi = 2.0 * math.pi * j / quad_points
-        ld = band.logdet(cmath.exp(complex(xi, phi / n)))
-        if ld.is_zero:
-            raise ContourTooCloseError(
-                f"det[H - E] vanished on the contour at phi={phi:.6f}; "
-                f"shift xi away from an exponent", suggested_xi=xi + 10 * DELTA_EDGE)
-        values.append(ld.log_modulus)
-    return values
+    size = 2 * m + 1
+    thetas = 2.0 * math.pi * np.arange(size) / size
+    samples = [band.logdet(cmath.exp(complex(xi, theta / n))) for theta in thetas.tolist()]
+    top = max(s.log_modulus for s in samples)
+    if top == -math.inf:
+        raise ContourTooCloseError(
+            "det[H - E] vanished at every sample on the contour; "
+            "shift xi away from an exponent", suggested_xi=xi + 10 * DELTA_EDGE)
+    scaled = np.array([cmath.exp(complex(s.log_modulus - top, s.phase)) for s in samples])
+    # the DFT by its size x size matrix: numpy.fft's first call would add
+    # about 0.3 MB to the peak memory of a process
+    coeffs = np.exp(-1j * np.outer(np.arange(size), thetas)) @ scaled / size
+    values.fill(coeffs[0])
+    for k in range(1, m + 1):
+        wave = np.exp(1j * k * phis)
+        values += coeffs[k] * wave
+        values += coeffs[-k] * wave.conj()
+    zero = np.flatnonzero(values == 0)
+    if zero.size:
+        raise ContourTooCloseError(
+            f"det[H - E] vanished on the contour at phi={phis[zero[0]]:.6f}; "
+            f"shift xi away from an exponent", suggested_xi=xi + 10 * DELTA_EDGE)
+    return (np.log(np.abs(values)) + top).tolist()
 
 
 def _guard_contour(spectrum: LogEigenvalues, xi: float) -> None:

@@ -21,8 +21,8 @@ the order 1, n, 2, n-1, 3, ..., puts every ring neighbour at most two
 positions away, so the permuted matrix has kl = ku = 3m - 1; rows and
 columns move together, so the determinant is unchanged.  In that band
 E - H_bal(w) = D - w*U - L/w, with D (the diagonal blocks E - A_k), U (the
-B_k) and L (the C_k) fixed for one (chain, E), so a flux sweep costs one
-band sum and one gbtrf per node.
+B_k) and L (the C_k) fixed for one (chain, E), so each w costs one band
+sum and one gbtrf.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def ring_band(chain: BlockChain, energy: complex) -> RingBand:
     kl = ku = min(3 * m - 1, n * m - 1)
     k = np.arange(n)
     pos = np.where(2 * k < n, 2 * k, 2 * (n - 1 - k) + 1)
-    # Fortran order, the layout gbtrf reads: each node factors without a copy
+    # Fortran order, the layout gbtrf reads: each w factors without a copy
     diag, upper, lower = (np.asfortranarray(_band(chain, kl, ku, [part])) for part in (
         (energy * np.eye(m) - chain.a, pos, pos),
         (chain.b, pos, pos[(k + 1) % n]),

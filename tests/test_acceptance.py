@@ -232,7 +232,7 @@ def test_criterion_07_jensen_identity():
     ok = ok and doubling_checked >= 1
     _report(7, "Jensen identity at 1024 nodes", ok,
             f"max residual {max_res:.2e} <= 1e-6, doubling checked "
-            f"{doubling_checked}x with min reduction {min_ratio:.1f} >= 4")
+            f"{doubling_checked}x with min reduction {min_ratio:.3g} >= 4")
 
 
 def test_criterion_08_positive_exponent_sum():

@@ -283,6 +283,41 @@ def test_unknown_config_key_is_input_error(tmp_path, capsys, command, extra, key
     assert key in captured.err and "unknown key" in captured.err
 
 
+#: (command arguments, config key) for the two integer config keys
+INTEGER_KEYS = [(["curve", "--xi", "0.3"], "phi_steps"),
+                (["exponents", "--jensen-xi", "0.02"], "quad_points")]
+
+
+@pytest.mark.parametrize("argv, key", INTEGER_KEYS)
+@pytest.mark.parametrize("value", [16.9, 12.5, True, "16"])
+def test_non_integral_config_integer_is_input_error(tmp_path, capsys, argv, key, value):
+    # refused, not truncated: 16.9 used to trace 16 angles and exit 0
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "random-tridiag", "n": 10, "seed": 7,
+                  "interval": [-2, 2]},
+        "energy": [0.4, 0.3], key: value})
+    rc = main([argv[0], "--config", cfg, *argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: config field {key!r}: must be an integer, "
+                            f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("argv, key", INTEGER_KEYS)
+def test_integral_float_config_integer_passes(tmp_path, capsys, argv, key):
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "random-tridiag", "n": 10, "seed": 7,
+                  "interval": [-2, 2]},
+        "energy": [0.4, 0.3], key: 16.0})
+    rc = main([argv[0], "--config", cfg, *argv[1:], "--json", str(tmp_path / "r.json")])
+    capsys.readouterr()
+    assert rc == 0
+    doc = json.loads((tmp_path / "r.json").read_text())
+    got = doc["phi_steps"] if key == "phi_steps" else doc["jensen"]["quad_points"]
+    assert got == 16 and isinstance(got, int)
+
+
 def test_one_config_drives_all_subcommands(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "model": {"kind": "random-tridiag", "n": 10, "seed": 7,
@@ -430,6 +465,17 @@ def test_exponents_jensen_block(tridiag_config, capsys):
     assert rc == 0
     assert doc["jensen"]["quad_points"] == 128
     assert doc["jensen"]["residual"] <= 1e-6
+
+
+def test_exponents_impossible_quadrature_is_input_error(tridiag_config, capsys):
+    # the node arrays are allocated before any band LU, so this fails at
+    # once instead of running one LU per node
+    rc = main(["exponents", "--config", tridiag_config, "--jensen-xi", "0.02",
+               "--quad-points", "1000000000000"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_exponents_contour_on_exponent_is_input_error(tmp_path, capsys):

@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st, target
 
 from blockflow import (ContourTooCloseError, UnitCircleEigenvalueError,
                        counting_function, exponent_csv, exponent_spectrum,
                        hadamard_fisher_bound, jensen_identity_check,
                        positive_exponent_sum, sum_rule_value)
 from blockflow import hatano_nelson, product
+from blockflow.exponents import DELTA_EDGE, _flux_values
+from blockflow.hamiltonian import RingBand, ring_band
+from blockflow.linalg import LogDet
 from blockflow.transfer import cyclic_log_moduli
 
-from conftest import clean_chain, hermitian_chain, random_chain
+from conftest import clean_chain, complex_energies, hermitian_chain, random_chain
 
 
 def test_methods_agree_on_small_chains():
@@ -140,7 +144,6 @@ def test_positive_sum_rejects_unit_circle():
 
 def test_flux_values_match_a_dense_loop():
     from blockflow import anderson_strip, assemble_balanced, logdet_shift
-    from blockflow.exponents import _flux_values
 
     ch = anderson_strip(5, 3, 2.0, seed=3)
     e, xi, nodes = 0.2 + 0.5j, 0.15, 64
@@ -149,6 +152,63 @@ def test_flux_values_match_a_dense_loop():
                 ch, cmath.exp(complex(xi, 2.0 * math.pi * j / nodes / ch.n))), e).log_modulus
             for j in range(nodes)]
     assert np.max(np.abs(np.array(got) - want)) <= 1e-9
+
+
+def per_node_flux_values(chain, energy, xi, quad_points):
+    """The flux node values by one folded band LU per node: the oracle for
+    the 2m + 1 sample interpolation of _flux_values."""
+    band = ring_band(chain, energy)
+    return [band.logdet(cmath.exp(complex(xi, 2.0 * math.pi * j / quad_points / chain.n)))
+            .log_modulus for j in range(quad_points)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 8), st.integers(1, 3), st.booleans(), st.integers(0, 10**6),
+       complex_energies, st.integers(0, 5))
+def test_flux_values_match_the_per_node_loop(n, m, complex_blocks, seed, energy, which):
+    # n = 2 included: there the corner blocks add onto the inner hoppings
+    ch = random_chain(n, m, seed, complex_entries=complex_blocks)
+    xs = np.sort(exponent_spectrum(ch, energy).xi)
+    widest = int(np.argmax(np.diff(xs)))
+    # the widest gap, and a contour grazing one exponent from above
+    worst = 0.0
+    for xi in (0.5 * float(xs[widest] + xs[widest + 1]), float(xs[which % len(xs)]) + 1e-5):
+        if np.min(np.abs(xs - xi)) < DELTA_EDGE:
+            continue
+        got = np.array(_flux_values(ch, energy, xi, 64))
+        want = np.array(per_node_flux_values(ch, energy, xi, 64))
+        err = float(np.max(np.abs(got - want)))
+        # a node 1e-5 above an exponent sits where |det| is about n*1e-5 of
+        # its largest value on the contour, so rounding grows to ~1e-11
+        assert err <= 1e-9, (n, m, complex_blocks, seed, energy, xi, err)
+        worst = max(worst, err)
+    target(worst, label="max |log|det| - oracle| per node")
+
+
+@pytest.mark.parametrize("quad_points", [8, 64, 1024])
+def test_flux_values_take_2m_plus_1_band_lus(monkeypatch, quad_points):
+    calls = []
+    logdet = RingBand.logdet
+
+    def counted(self, w):
+        calls.append(w)
+        return logdet(self, w)
+
+    monkeypatch.setattr(RingBand, "logdet", counted)
+    for m in (1, 2, 4):
+        calls.clear()
+        values = _flux_values(random_chain(6, m, seed=140 + m), 0.3 + 0.4j, 0.05, quad_points)
+        assert len(values) == quad_points
+        assert len(calls) == 2 * m + 1
+
+
+def test_flux_values_refuse_a_determinant_zero_at_every_sample(monkeypatch):
+    # invertible hoppings keep det[E - H(z)] a nonzero Laurent polynomial,
+    # so only rounding can zero every sample; stand in for it
+    monkeypatch.setattr(RingBand, "logdet", lambda self, w: LogDet(-math.inf, 0.0))
+    with pytest.raises(ContourTooCloseError, match="every sample") as info:
+        _flux_values(random_chain(4, 2, seed=143), 0.3 + 0.4j, 0.05, 64)
+    assert info.value.suggested_xi == 0.05 + 10 * DELTA_EDGE
 
 
 def test_hadamard_fisher_on_corpus():
