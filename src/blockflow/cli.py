@@ -37,7 +37,8 @@ from .exponents import (exponent_csv, exponent_spectrum, jensen_identity_check,
                         sum_rule_value)
 from .linalg import EigenConvergenceError
 from .resolvent import CornerSingularError, ResolventSingularError
-from .symmetry import check_symplectic, check_unit_circle_exclusion, detect_pairings
+from .symmetry import (MIN_IM, check_symplectic, check_unit_circle_exclusion,
+                       detect_pairings)
 from .transfer import ProductOverflowError
 
 SCHEMA_VERSION = 1
@@ -189,6 +190,9 @@ def _emit(report: dict | str, path: str | None) -> None:
 # verify
 
 def _cmd_verify(args) -> int:
+    tol_log = TOL_LOG if args.tol_log is None else args.tol_log
+    if tol_log < 0:
+        raise InputError(f"--tol-log must be at least 0, got {tol_log!r}")
     config = _load_config(args.config)
     chain, model_summary = _build_chain(config)
     energy = _require_energy(args, config)
@@ -204,7 +208,6 @@ def _cmd_verify(args) -> int:
         z = complex(math.exp(arg) * math.cos(phi), math.exp(arg) * math.sin(phi))
     if z == 0:
         raise InputError("z must be nonzero")
-    tol_log = TOL_LOG if args.tol_log is None else args.tol_log
     spectrum = exponent_spectrum(chain, energy)
     checks = []
     notices = []
@@ -220,13 +223,11 @@ def _cmd_verify(args) -> int:
     except (ResolventSingularError, CornerSingularError, ProductOverflowError) as exc:
         notices.append(f"transfer-routes skipped: {exc}")
 
-    record(check_open_duality(chain, energy, tol_log=tol_log, spectrum=spectrum))
+    record(check_open_duality(spectrum, tol_log=tol_log))
 
     if chain.n >= 3:
-        record(check_duality(chain, energy, z, tol_log=tol_log,
-                             spectrum=spectrum))
-        record(check_symmetric_duality(chain, energy, z, tol_log=tol_log,
-                                       spectrum=spectrum))
+        record(check_duality(spectrum, z, tol_log=tol_log))
+        record(check_symmetric_duality(spectrum, z, tol_log=tol_log))
     else:
         notices.append(
             "duality and symmetric-duality skipped: at n = 2 the ring "
@@ -244,12 +245,10 @@ def _cmd_verify(args) -> int:
             record(check_symplectic(chain, energy), name="symplectic")
         except ProductOverflowError as exc:
             notices.append(f"symplectic skipped: {exc}")
-        if abs(complex(energy).imag) >= 1e-8:
-            record(check_unit_circle_exclusion(chain, energy, spectrum=spectrum),
-                   name="unit-circle-exclusion")
+        if abs(energy.imag) >= MIN_IM:
+            record(check_unit_circle_exclusion(spectrum), name="unit-circle-exclusion")
         else:
-            pairing = detect_pairings(chain, energy, mode="hermitian-real-E",
-                                      spectrum=spectrum)
+            pairing = detect_pairings(spectrum, mode="hermitian-real-E")
             checks.append({"check": "pairing", **pairing.to_dict(),
                            "passed": not pairing.unmatched})
     else:
@@ -381,8 +380,7 @@ def _cmd_exponents(args) -> int:
     }
     if args.jensen_xi is not None:
         quad = _resolve(config, "quad_points", args.quad_points, as_integer, 256)
-        report = jensen_identity_check(chain, energy, args.jensen_xi,
-                                       quad_points=quad, spectrum=spectrum)
+        report = jensen_identity_check(spectrum, args.jensen_xi, quad_points=quad)
         doc["jensen"] = report.to_dict()
     _emit(doc, args.json)
     return 0
@@ -420,8 +418,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="write the JSON report here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refusals (bad flag value, unknown flag, no subcommand) raise
+    InputError: exit 2 with one error line, not a usage block."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blockflow",
         description="Transfer matrix identities, exponents and decay bounds "
                     "for block tridiagonal chains.")
@@ -473,8 +479,8 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
+        args = _parser.parse_args(argv)
         if getattr(args, "energy", None) is not None:
             args.energy = _parse_complex(args.energy, "--energy")
         for flag in ("xi", "phi", "jensen_xi", "tol_log"):
@@ -482,9 +488,10 @@ def main(argv=None) -> int:
                 _require_finite(getattr(args, flag), "--" + flag.replace("_", "-"))
         return args.func(args)
     except (ValueError, ArithmeticError, EigenConvergenceError, MemoryError) as exc:
-        # InputError, singular blocks or corners, contours through an
-        # exponent, product overflow, values beyond double range,
-        # iterations that did not converge and sizes beyond memory
+        # InputError (the parser's refusals too), singular blocks or
+        # corners, contours through an exponent, product overflow, values
+        # beyond double range, iterations that did not converge and sizes
+        # beyond memory
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

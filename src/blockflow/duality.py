@@ -10,11 +10,13 @@ det[B_1 ... B_n], and the symmetrized form couples z and 1/z:
     det[T + T^{-1} - (z + 1/z) I]
         = det[E - H(z)] det[E - H(1/z)] / (det[B_1..B_n] det[C_1..C_n]).
 
-All comparisons happen between LogDet values: log-modulus residuals are
-scale free, and phases are compared modulo 2 pi with a looser tolerance
-(phase error grows with the LU size).  Ring and open determinants come
-from band LUs (ring_band, logdet_open); the dense assemblers are their
-oracles.
+Each check takes the transfer spectrum (transfer.LogEigenvalues), which
+carries the chain and E it was computed at, so one spectrum serves every
+check of a report.  All comparisons happen between LogDet values:
+log-modulus residuals are scale free, and phases are compared modulo 2 pi
+with the looser tolerance TOL_PHASE_PER_SIZE * n * m (phase error grows
+with the LU size).  Ring and open determinants come from band LUs
+(ring_band, logdet_open); the dense assemblers are their oracles.
 
 The spectral-curve tracer sweeps the flux angle phi at fixed radial
 exponent xi and links the eigenvalue trajectories of the balanced ring
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import BlockChain
-from .exponents import shared_spectrum
 from .hamiltonian import assemble_balanced, log_minus_z, logdet_open, ring_band
 from .linalg import (LogDet, logdet_blocks, match_spectra, match_tolerance,
                      wrap_phase)
@@ -79,7 +80,11 @@ class DualityReport:
         }
 
 
-def _compare(name, energy, z, lhs, rhs, tol_log, tol_phase, note="") -> DualityReport:
+def _compare(name: str, spectrum: LogEigenvalues, z, lhs: LogDet, rhs: LogDet,
+             tol_log: float) -> DualityReport:
+    """The report of one determinant identity; the phase tolerance grows
+    with the LU size, TOL_PHASE_PER_SIZE * n * m."""
+    tol_phase = TOL_PHASE_PER_SIZE * spectrum.n * spectrum.m
     if lhs.is_zero and rhs.is_zero:
         res_log, res_phase = 0.0, 0.0
     elif lhs.is_zero or rhs.is_zero:
@@ -87,13 +92,11 @@ def _compare(name, energy, z, lhs, rhs, tol_log, tol_phase, note="") -> DualityR
     else:
         res_log = abs(lhs.log_modulus - rhs.log_modulus)
         res_phase = abs(wrap_phase(lhs.phase - rhs.phase))
-    return DualityReport(name=name, energy=complex(energy),
-                         z=None if z is None else complex(z),
+    return DualityReport(name=name, energy=spectrum.energy, z=z,
                          lhs=lhs, rhs=rhs,
                          residual_log=res_log, residual_phase=res_phase,
                          tol_log=tol_log, tol_phase=tol_phase,
-                         passed=bool(res_log <= tol_log and res_phase <= tol_phase),
-                         note=note)
+                         passed=bool(res_log <= tol_log and res_phase <= tol_phase))
 
 
 def _require_ring(chain: BlockChain, who: str) -> None:
@@ -126,73 +129,63 @@ def _logdet_zi_minus_t(eig: LogEigenvalues, log_z: complex) -> LogDet:
     return total
 
 
-def check_duality(chain: BlockChain, energy: complex, z: complex,
-                  tol_log: float = TOL_LOG,
-                  tol_phase: float | None = None,
-                  spectrum: LogEigenvalues | None = None) -> DualityReport:
+def check_duality(spectrum: LogEigenvalues, z: complex,
+                  tol_log: float = TOL_LOG) -> DualityReport:
     """Compare det[zI - T(E)] det[B_1..B_n] with (-z)^m det[E - H(z)].
 
-    det[zI - T] comes from the transfer eigenvalues, taken from
-    ``spectrum`` when one is given; det[E - H(z)] from the folded band of
-    the balanced ring at w = z^{1/n}, which is similar to H(z) and stays
-    in range at any |z|.
+    det[zI - T] comes from the transfer eigenvalues in ``spectrum``, which
+    names the chain and E; det[E - H(z)] from the folded band of the
+    balanced ring at w = z^{1/n}, which is similar to H(z) and stays in
+    range at any |z|.
     """
+    chain, energy = spectrum.chain, spectrum.energy
     _require_ring(chain, "check_duality")
     z = complex(z)
     if z == 0:
         raise ValueError("z must be nonzero")
-    if tol_phase is None:
-        tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
-    eig = shared_spectrum(chain, energy, spectrum)
     log_z = cmath.log(z)
-    lhs = _logdet_zi_minus_t(eig, log_z) * logdet_blocks(chain.b)
+    lhs = _logdet_zi_minus_t(spectrum, log_z) * logdet_blocks(chain.b)
     ring = ring_band(chain, energy).logdet(cmath.exp(log_z / chain.n))
     rhs = log_minus_z(z, chain.m) * ring
-    return _compare("duality", energy, z, lhs, rhs, tol_log, tol_phase)
+    return _compare("duality", spectrum, z, lhs, rhs, tol_log)
 
 
-def check_open_duality(chain: BlockChain, energy: complex,
-                       tol_log: float = TOL_LOG,
-                       tol_phase: float | None = None,
-                       spectrum: LogEigenvalues | None = None) -> DualityReport:
+def check_open_duality(spectrum: LogEigenvalues,
+                       tol_log: float = TOL_LOG) -> DualityReport:
     """Compare det[E - h] with det T(E)_11 * det[B_1..B_n].
 
-    det T_11 is the det_t11 of the transfer spectrum, ``spectrum`` if given.
+    det T_11 is the det_t11 of the transfer spectrum.
     """
-    if tol_phase is None:
-        tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
-    lhs = logdet_open(chain, energy)
-    rhs = shared_spectrum(chain, energy, spectrum).det_t11 * logdet_blocks(chain.b)
-    return _compare("open-duality", energy, None, lhs, rhs, tol_log, tol_phase)
+    lhs = logdet_open(spectrum.chain, spectrum.energy)
+    rhs = spectrum.det_t11 * logdet_blocks(spectrum.chain.b)
+    return _compare("open-duality", spectrum, None, lhs, rhs, tol_log)
 
 
-def check_symmetric_duality(chain: BlockChain, energy: complex, z: complex,
-                            tol_log: float = TOL_LOG,
-                            tol_phase: float | None = None,
-                            spectrum: LogEigenvalues | None = None) -> DualityReport:
+def check_symmetric_duality(spectrum: LogEigenvalues, z: complex,
+                            tol_log: float = TOL_LOG) -> DualityReport:
     """Compare det[T + T^{-1} - (z + 1/z) I] with
     det[E - H(z)] det[E - H(1/z)] / (det[B_1..B_n] det[C_1..C_n]).
 
     T + T^{-1} - (z + 1/z) I = T^{-1} (T - zI)(T - I/z), so the left side
     is det[zI - T] det[I/z - T] / det T, all three from the transfer
-    eigenvalues, taken from ``spectrum`` when one is given.  Both ring
-    determinants come from one folded band, at w = z^{1/n} and 1/w.
+    eigenvalues in ``spectrum``.  Both ring determinants come from one
+    folded band, at w = z^{1/n} and 1/w.
     """
+    chain, energy = spectrum.chain, spectrum.energy
     _require_ring(chain, "check_symmetric_duality")
     z = complex(z)
     if z == 0:
         raise ValueError("z must be nonzero")
-    if tol_phase is None:
-        tol_phase = TOL_PHASE_PER_SIZE * chain.n * chain.m
-    eig = shared_spectrum(chain, energy, spectrum)
-    det_t = LogDet(float(np.sum(eig.log_abs)), wrap_phase(float(np.sum(eig.phase))))
+    det_t = LogDet(float(np.sum(spectrum.log_abs)),
+                   wrap_phase(float(np.sum(spectrum.phase))))
     log_z = cmath.log(z)
-    lhs = _logdet_zi_minus_t(eig, log_z) * _logdet_zi_minus_t(eig, -log_z) / det_t
+    lhs = (_logdet_zi_minus_t(spectrum, log_z) * _logdet_zi_minus_t(spectrum, -log_z)
+           / det_t)
     band = ring_band(chain, energy)
     w = cmath.exp(log_z / chain.n)
     rhs = (band.logdet(w) * band.logdet(1.0 / w)
            / logdet_blocks(chain.b) / logdet_blocks(chain.c))
-    return _compare("symmetric-duality", energy, z, lhs, rhs, tol_log, tol_phase)
+    return _compare("symmetric-duality", spectrum, z, lhs, rhs, tol_log)
 
 
 def check_transfer_routes(chain: BlockChain, energy: complex,

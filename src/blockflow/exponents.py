@@ -1,7 +1,8 @@
 """Radial exponents of the transfer spectrum and their integral identities.
 
 The 2m eigenvalues z_k(E) of T(E) define exponents xi_k = log|z_k| / n;
-exponent_spectrum returns both as one transfer.LogEigenvalues, and
+exponent_spectrum returns both as one transfer.LogEigenvalues, which also
+carries its chain and E (jensen_identity_check reads both from it), and
 sum_rule_value gives their exact sum from the hopping blocks alone.
 These are finite-chain objects tied to one realization; they are not the
 Lyapunov exponents of an infinite chain, although they converge to them
@@ -62,24 +63,6 @@ def exponent_spectrum(chain: BlockChain, energy: complex) -> LogEigenvalues:
     """The transfer spectrum with its 2m exponents ``xi``, descending, by
     periodic QR (eigenvalues_stabilized), O(n m^3) at every size."""
     return eigenvalues_stabilized(chain, energy)
-
-
-def shared_spectrum(chain: BlockChain, energy: complex,
-                    spectrum: LogEigenvalues | None = None) -> LogEigenvalues:
-    """``spectrum`` when given, else the default exponent_spectrum(chain, E).
-
-    Lets one report compute the spectrum once and hand it to every check;
-    a spectrum of another size or energy is refused.
-    """
-    if spectrum is None:
-        return exponent_spectrum(chain, energy)
-    if (spectrum.n, spectrum.m) != (chain.n, chain.m) \
-            or spectrum.energy != complex(energy):
-        raise ValueError(
-            f"spectrum of an n={spectrum.n}, m={spectrum.m} chain at "
-            f"E={spectrum.energy!r} passed for an n={chain.n}, m={chain.m} "
-            f"chain at E={complex(energy)!r}")
-    return spectrum
 
 
 def _flux_values(chain: BlockChain, energy: complex, xi: float,
@@ -170,23 +153,22 @@ class JensenReport:
         }
 
 
-def jensen_identity_check(chain: BlockChain, energy: complex, xi: float,
-                          quad_points: int = QUAD_POINTS,
-                          spectrum: LogEigenvalues | None = None) -> JensenReport:
+def jensen_identity_check(spectrum: LogEigenvalues, xi: float,
+                          quad_points: int = QUAD_POINTS) -> JensenReport:
     """Evaluate both sides of
 
         (1/m) sum_{xi_k < xi} (xi - xi_k) - xi
             = (1/(m n)) <log|det[H(e^{n xi + i phi}) - E]|>_phi
-              - (1/(m n)) sum_j log|det C_j|.
+              - (1/(m n)) sum_j log|det C_j|
 
-    The convergence estimate compares the rule with its half-node rule,
-    whose nodes are every other node of the full rule.  A ``spectrum``
-    already computed at (chain, E) is used instead of a fresh one.
+    at the (chain, E) of ``spectrum``.  The convergence estimate compares
+    the rule with its half-node rule, whose nodes are every other node of
+    the full rule.
     """
     if quad_points < 8 or quad_points % 2:
         raise ValueError("quad_points must be even and at least 8")
+    chain, energy = spectrum.chain, spectrum.energy
     n, m = chain.n, chain.m
-    spectrum = shared_spectrum(chain, energy, spectrum)
     _guard_contour(spectrum, xi)
     margin = float(np.min(np.abs(spectrum.xi - xi)))
     below = spectrum.xi[spectrum.xi < xi]
@@ -197,7 +179,7 @@ def jensen_identity_check(chain: BlockChain, energy: complex, xi: float,
     half = math.fsum(values[::2]) / (quad_points // 2)
     rhs = full / (m * n) - log_c / (m * n)
     rhs_half = half / (m * n) - log_c / (m * n)
-    return JensenReport(energy=complex(energy), xi=float(xi), lhs=lhs, rhs=rhs,
+    return JensenReport(energy=energy, xi=float(xi), lhs=lhs, rhs=rhs,
                         residual=abs(lhs - rhs), quad_points=quad_points,
                         convergence_estimate=abs(rhs - rhs_half), margin=margin)
 

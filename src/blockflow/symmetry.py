@@ -11,7 +11,9 @@ with Sigma_0 identified with Sigma_n.  Consequences checked here: at real
 E the spectrum of T is invariant under z -> 1/zbar (pairs with opposite
 exponents), at non-real E no eigenvalue reaches the unit circle, and for
 real symmetric chains the spectrum closes into quadruples
-{z, zbar, 1/z, 1/zbar}.
+{z, zbar, 1/z, 1/zbar}.  The pairing and exclusion checks read the
+transfer spectrum (transfer.LogEigenvalues), which carries the chain and
+E it was computed at; the conservation law forms its own products.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import BlockChain
-from .exponents import shared_spectrum
 from .transfer import LogEigenvalues, product, steps
 
 #: tolerance for the structural Hermitian-chain test
@@ -30,6 +31,9 @@ TOL_STRUCTURE = 1e-12
 
 #: exponent pairing tolerance |log|z| + log|z'||
 TOL_PAIR = 1e-7
+
+#: smallest |Im E| at which the unit-circle exclusion is checked
+MIN_IM = 1e-8
 
 
 class NotHermitianChainError(ValueError):
@@ -135,29 +139,26 @@ class PairingReport:
         }
 
 
-def detect_pairings(chain: BlockChain, energy: complex,
-                    mode: str = "hermitian-real-E",
-                    spectrum: LogEigenvalues | None = None) -> PairingReport:
-    """Group the transfer eigenvalues into symmetry multiplets.
+def detect_pairings(spectrum: LogEigenvalues,
+                    mode: str = "hermitian-real-E") -> PairingReport:
+    """Group the transfer eigenvalues of ``spectrum`` into symmetry multiplets.
 
     mode "hermitian-real-E": pairs (z, 1/zbar), i.e. opposite log moduli
     with equal phases; requires a Hermitian chain and real E to be
     meaningful.  mode "real-symmetric": quadruples {z, zbar, 1/z, 1/zbar}
     (pairs degenerate to size 2 on the real axis or the unit circle).
-    Unmatched eigenvalues are reported, not raised.  A ``spectrum``
-    already computed at (chain, E) is used instead of a fresh one.
+    Unmatched eigenvalues are reported, not raised.
     """
     if mode not in ("hermitian-real-E", "real-symmetric"):
         raise ValueError(f"unknown pairing mode {mode!r}")
-    eig = shared_spectrum(chain, energy, spectrum)
-    count = len(eig.log_abs)
-    log_abs = eig.log_abs
-    phase = eig.phase
+    count = len(spectrum.log_abs)
+    log_abs = spectrum.log_abs
+    phase = spectrum.phase
     unit_circle = np.abs(log_abs) <= TOL_PAIR
     pair_id = -np.ones(count, dtype=int)
     next_id = 0
     max_defect = 0.0
-    tol_phase = max(1e-6, TOL_PAIR * chain.n)
+    tol_phase = max(1e-6, TOL_PAIR * spectrum.n)
 
     def phase_gap(i, j, sign):
         # sign +1: phases equal (partner 1/zbar); -1: opposite (partner 1/z)
@@ -200,7 +201,7 @@ def detect_pairings(chain: BlockChain, energy: complex,
                     old = pair_id[j]
                     pair_id[pair_id == old] = pair_id[i]
     unmatched = tuple(int(i) for i in np.flatnonzero(pair_id < 0))
-    return PairingReport(mode=mode, energy=complex(energy),
+    return PairingReport(mode=mode, energy=spectrum.energy,
                          log_abs=log_abs.copy(), phase=phase.copy(),
                          pair_id=pair_id, unit_circle=unit_circle,
                          unmatched=unmatched, max_defect=max_defect)
@@ -217,20 +218,15 @@ class UnitCircleReport:
                 "margin": self.margin, "passed": bool(self.passed)}
 
 
-def check_unit_circle_exclusion(chain: BlockChain, energy: complex,
-                                min_im: float = 1e-8,
-                                spectrum: LogEigenvalues | None = None
-                                ) -> UnitCircleReport:
+def check_unit_circle_exclusion(spectrum: LogEigenvalues) -> UnitCircleReport:
     """At Im E != 0 a Hermitian chain has no unit-circle eigenvalue.
 
-    Returns the margin min_k |log|z_k||, which is strictly positive and
-    grows with |Im E|.  A ``spectrum`` already computed at (chain, E) is
-    used instead of a fresh one.
+    Returns the margin min_k |log|z_k|| of ``spectrum``, which is strictly
+    positive and grows with |Im E|; |Im E| must be at least MIN_IM.
     """
-    _require_hermitian(chain)
-    if abs(complex(energy).imag) < min_im:
-        raise ValueError(f"need |Im E| >= {min_im} for the exclusion check")
-    spectrum = shared_spectrum(chain, energy, spectrum)
+    _require_hermitian(spectrum.chain)
+    if abs(spectrum.energy.imag) < MIN_IM:
+        raise ValueError(f"need |Im E| >= {MIN_IM} for the exclusion check")
     margin = float(np.min(np.abs(spectrum.log_abs)))
-    return UnitCircleReport(energy=complex(energy), margin=margin,
+    return UnitCircleReport(energy=spectrum.energy, margin=margin,
                             passed=bool(margin > 0.0))

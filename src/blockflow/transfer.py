@@ -12,17 +12,17 @@ numerically stabilized routes: singular values accumulated in log space
 through a graded one-sided Jacobi factorization, and eigenvalues in
 log-polar form through a periodic QR iteration, neither of which forms the
 product itself.  The iteration's first sweep factors T = Q_n R_n ... R_1,
-so the spectrum (LogEigenvalues, which also carries the exponents xi_k)
-carries det T_11 from that sweep as well.  The moduli of the cyclic
-block-companion embedding (cyclic_log_moduli) are kept as the test oracle
-of the eigenvalues; no run-time route calls it.
+so the spectrum (LogEigenvalues, which also carries the exponents xi_k,
+the chain and E) carries det T_11 from that sweep as well.  The moduli of
+the cyclic block-companion embedding (cyclic_log_moduli) are kept as the
+test oracle of the eigenvalues; no run-time route calls it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -178,21 +178,26 @@ class LogEigenvalues:
     """Eigenvalues of T(E) in log-polar form, and the exponents they define.
 
     log_abs[k] + i*phase[k] is one value of log z_k; ``xi`` is the exponent
-    vector log|z_k| / n and ``sum`` its sum.  ``det_t11`` is det T(E)_11,
-    taken from the first sweep.  ``sweeps`` counts the periodic QR sweeps
-    run.
+    vector log|z_k| / n and ``sum`` its sum.  ``chain`` and ``energy`` are
+    the (chain, E) it was computed at, so a check that reads the spectrum
+    reads both from it.  ``det_t11`` is det T(E)_11, taken from the first
+    sweep.  ``sweeps`` counts the periodic QR sweeps run.
     """
 
     log_abs: np.ndarray
     phase: np.ndarray
-    n: int
+    chain: BlockChain = field(repr=False)
     energy: complex
     det_t11: LogDet
     sweeps: int = 0
 
     @property
+    def n(self) -> int:
+        return self.chain.n
+
+    @property
     def m(self) -> int:
-        return len(self.log_abs) // 2
+        return self.chain.m
 
     @property
     def xi(self) -> np.ndarray:
@@ -321,7 +326,7 @@ def eigenvalues_stabilized(chain: BlockChain, energy: complex) -> LogEigenvalues
     la = logs.real
     ph = np.array([wrap_phase(p) for p in logs.imag])
     order = np.lexsort((ph, -la))
-    return LogEigenvalues(log_abs=la[order], phase=ph[order], n=chain.n,
+    return LogEigenvalues(log_abs=la[order], phase=ph[order], chain=chain,
                           energy=complex(energy), det_t11=det_t11, sweeps=sweep)
 
 

@@ -56,7 +56,7 @@ def test_criterion_01_duality_identity():
         for _ in range(10):
             energy = complex(rng.uniform(-2, 2), rng.uniform(-1.5, 1.5))
             z = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            rep = check_duality(ch, energy, complex(z))
+            rep = check_duality(exponent_spectrum(ch, energy), complex(z))
             max_log = max(max_log, rep.residual_log)
             max_phase_rel = max(max_phase_rel,
                                 rep.residual_phase / (ch.n * ch.m))
@@ -211,7 +211,8 @@ def test_criterion_07_jensen_identity():
     min_ratio = math.inf
     ok = True
     for ch, energy in cases:
-        xs = np.sort(exponent_spectrum(ch, energy).xi)
+        spectrum = exponent_spectrum(ch, energy)
+        xs = np.sort(spectrum.xi)
         gaps = np.diff(xs)
         i = int(np.argmax(gaps))
         contours = [float((xs[i] + xs[i + 1]) / 2.0)]
@@ -220,11 +221,11 @@ def test_criterion_07_jensen_identity():
             # residual above the roundoff floor, so halving is observable
             contours.append(float(xs[-1] + 1e-3))
         for xi in contours:
-            r1 = jensen_identity_check(ch, energy, xi, quad_points=1024)
+            r1 = jensen_identity_check(spectrum, xi, quad_points=1024)
             max_res = max(max_res, r1.residual)
             ok = ok and r1.residual <= 1e-6 and r1.margin > 0
             if r1.residual > 1e-10:
-                r2 = jensen_identity_check(ch, energy, xi, quad_points=2048)
+                r2 = jensen_identity_check(spectrum, xi, quad_points=2048)
                 ratio = r1.residual / max(r2.residual, 1e-300)
                 min_ratio = min(min_ratio, ratio)
                 doubling_checked += 1
@@ -265,7 +266,7 @@ def test_criterion_09_symplectic_and_pairings():
         neg = float(np.max(np.abs(xs + xs[::-1])))
         worst_neg = max(worst_neg, neg)
         ok = ok and neg <= 1e-7
-        margin = check_unit_circle_exclusion(ch, 0.3 + 0.8j).margin
+        margin = check_unit_circle_exclusion(exponent_spectrum(ch, 0.3 + 0.8j)).margin
         min_margin = min(min_margin, margin)
         ok = ok and margin > 0.0
     _report(9, "symplectic law, negation symmetry, circle exclusion", ok,

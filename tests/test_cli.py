@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockflow.cli import main
 
@@ -398,9 +403,17 @@ def test_curve_overflowing_xi_is_input_error(tridiag_config, capsys):
     (["curve"], {"xi": 800.0}, "config field 'xi'"),
     (["exponents", "--jensen-xi=1e6"], {}, "--jensen-xi"),
     (["exponents", "--jensen-xi=-1e6"], {}, "--jensen-xi"),
+    # flag values the parser refuses, and an unknown flag
+    (["curve", "--xi", "0.3", "--phi-steps", "16.5"], {}, "--phi-steps"),
+    (["exponents", "--jensen-xi", "0.02", "--quad-points", "x"], {}, "--quad-points"),
+    (["verify", "--xi", "x"], {}, "--xi"),
+    (["bounds", "--phi-steps", "16"], {}, "--phi-steps"),
+    # a negative tolerance would fail every check: bad input, not a failure
+    (["verify", "--tol-log", "-1"], {}, "--tol-log"),
 ])
 def test_out_of_range_xi_is_named(tmp_path, capsys, argv, config_extra, named):
-    # e^(xi) beyond double range: exit 2 with one error line naming the input
+    # e^(xi) beyond double range, or a flag value or flag that is refused:
+    # exit 2 with one error line naming the input
     cfg = write_config(tmp_path, {
         "model": {"kind": "random-tridiag", "n": 10, "seed": 7,
                   "interval": [-2, 2]},
@@ -451,11 +464,23 @@ def test_exponents_json_and_csv(tridiag_config, tmp_path, capsys):
 
 
 def test_exponents_has_no_route_selector(tridiag_config, capsys):
-    # periodic QR is the only route: argparse refuses the old flag
+    # periodic QR is the only route: the old flag is refused
+    rc = main(["exponents", "--config", tridiag_config, "--method", "cyclic"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--method" in err
+
+
+def test_missing_subcommand_is_one_error_line(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().err == ("error: the following arguments are "
+                                       "required: command\n")
+    # --help is not a refusal: it prints the usage and exits 0
     with pytest.raises(SystemExit) as exc:
-        main(["exponents", "--config", tridiag_config, "--method", "cyclic"])
-    assert exc.value.code == 2
-    assert "--method" in capsys.readouterr().err
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: blockflow ")
 
 
 def test_exponents_jensen_block(tridiag_config, capsys):
@@ -578,3 +603,93 @@ def test_out_of_memory_is_one_error_line(tridiag_config, capsys, monkeypatch):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "error: cannot hold 1000000000000 angles\n"
+
+
+# ---------------------------------------------------------------------------
+# in-process fuzz of the exit-code contract
+
+#: small chains of every generated kind, n <= 12
+FUZZ_MODELS = [
+    {"kind": "random-tridiag", "n": 12, "seed": 7, "interval": [-2, 2]},
+    {"kind": "random-tridiag", "n": 2, "seed": 3, "interval": [-1, 1]},
+    {"kind": "hatano-nelson", "n": 9, "seed": 14, "interval": [-3.5, 3.5]},
+    {"kind": "anderson-strip", "n": 6, "m": 2, "w": 4.0, "seed": 5},
+    {"kind": "banded-random", "n": 12, "m": 3, "seed": 4, "interval": [-1, 1]},
+]
+
+_REAL = st.floats(-3.0, 3.0)
+_COMPLEX = st.tuples(_REAL, _REAL)
+#: valid values of each flag and config key, as config values; flags pass
+#: them as text.  Counts stay at most 4096: the impossible sizes have tests
+_VALID = {"energy": _COMPLEX, "z": _COMPLEX, "xi": _REAL, "phi": _REAL,
+          "tol_log": st.floats(0.0, 1.0), "jensen_xi": _REAL,
+          "phi_steps": st.sampled_from([8, 13, 16, 64, 4096]),
+          "quad_points": st.sampled_from([8, 16, 64, 256, 4096])}
+#: the flags of each subcommand, by the config key they share a value with
+_FLAGS = {"verify": ("energy", "z", "xi", "phi", "tol_log"),
+          "curve": ("xi", "phi_steps"),
+          "exponents": ("energy", "jensen_xi", "quad_points"),
+          "bounds": ("energy",)}
+_CONFIG_KEYS = ("energy", "z", "xi", "phi", "phi_steps", "quad_points")
+_COUNTS = ("phi_steps", "quad_points")
+#: non-finite, huge, non-integral, negative and non-numeric values
+_BAD = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 16.5, -16, 0,
+        "x", "", True, None, [0.3, 1e308], [1, 2, 3]]
+
+
+def _flag_text(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return ",".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_fuzz_keeps_the_exit_code_contract(data):
+    # exit 0, 1 or 2; nothing escapes main; stderr (warnings included) is
+    # empty on 0 and 1 and exactly one error line on 2.  Each draw is valid
+    # but for at most two slots, so every refusal is reached from a report
+    # that would otherwise run
+    command = data.draw(st.sampled_from(sorted(_FLAGS)), label="command")
+    # energy and xi always come from the config, so every subcommand can run
+    doc = {"model": data.draw(st.sampled_from(FUZZ_MODELS), label="model"),
+           "energy": data.draw(_COMPLEX, label="energy"),
+           "xi": data.draw(_REAL, label="xi")}
+    flags = {}
+    for key in ("z", "phi", *_COUNTS):
+        if data.draw(st.booleans(), label=f"config {key}"):
+            doc[key] = data.draw(_VALID[key], label=key)
+    for key in _FLAGS[command]:
+        if data.draw(st.booleans(), label=f"flag {key}"):
+            flags[key] = data.draw(_VALID[key], label=key)
+    for _ in range(data.draw(st.integers(0, 2), label="bad slots")):
+        where = data.draw(st.sampled_from(["config", "flag", "unknown"]), label="where")
+        if where == "unknown":
+            doc["bogus"] = 1
+            flags["bogus"] = ""
+            continue
+        # a key the subcommand reads, from its config or its flag
+        keys = [key for key in _FLAGS[command]
+                if where == "flag" or key in _CONFIG_KEYS]
+        key = data.draw(st.sampled_from(keys), label=f"bad {where}")
+        # a count of 1e308 is an impossible size, which has its own tests
+        bad = [v for v in _BAD if v != 1e308] if key in _COUNTS else _BAD
+        value = data.draw(st.sampled_from(bad), label=f"bad {key}")
+        (doc if where == "config" else flags)[key] = value
+    argv = [command, *(f"--{key.replace('_', '-')}={_flag_text(value)}"
+                       for key, value in flags.items())]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/cfg.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*argv, "--config", path])
+    lines = err.getvalue().splitlines() + [f"warning: {w.message}" for w in caught]
+    assert rc in (0, 1, 2), (argv, doc, rc)
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, doc, lines)
+    else:
+        assert lines == [], (argv, doc, lines)

@@ -28,7 +28,7 @@ def test_duality_on_corpus():
             z = complex(rng.normal(), rng.normal())
             if abs(z) < 0.1:
                 z += 0.5
-            rep = check_duality(ch, e, z)
+            rep = check_duality(exponent_spectrum(ch, e), z)
             assert rep.passed, rep.to_dict()
             assert rep.residual_log <= 1e-9
             assert rep.residual_phase <= 1e-8 * n * m
@@ -44,7 +44,7 @@ def test_open_duality_on_corpus():
               (banded_random(160, 4, -1.0, 1.0, seed=544724),
                -0.822128 + 0.347989j)]
     for ch, e in cases:
-        rep = check_open_duality(ch, e)
+        rep = check_open_duality(exponent_spectrum(ch, e))
         assert rep.passed, rep.to_dict()
 
 
@@ -59,7 +59,7 @@ def test_symmetric_duality_on_corpus():
     # the plain product overflows at step 924
     cases.append((hatano_nelson(1000, -3.5, 3.5, seed=14), 0.4 + 0.9j, 1.7 - 0.6j))
     for ch, e, z in cases:
-        rep = check_symmetric_duality(ch, e, z)
+        rep = check_symmetric_duality(exponent_spectrum(ch, e), z)
         assert rep.passed, rep.to_dict()
 
 
@@ -72,20 +72,20 @@ def test_identities_hold_at_separated_points(chain, energy, draw):
     z, margin = separated_z(spectrum, draw)
     assume(margin >= 0.1)
     assume(np.min(np.abs(np.linalg.eigvals(assemble_open(chain)) - energy)) >= 0.05)
-    for rep in (check_duality(chain, energy, z, spectrum=spectrum),
-                check_symmetric_duality(chain, energy, z, spectrum=spectrum),
-                check_open_duality(chain, energy)):
+    for rep in (check_duality(spectrum, z), check_symmetric_duality(spectrum, z),
+                check_open_duality(spectrum)):
         assert rep.passed, rep.to_dict()
 
 
 def test_two_site_ring_is_gated():
     ch = random_chain(2, 2, seed=10)
+    spectrum = exponent_spectrum(ch, 0.1)
     with pytest.raises(ValueError, match="n >= 3"):
-        check_duality(ch, 0.1, 1.5)
+        check_duality(spectrum, 1.5)
     with pytest.raises(ValueError, match="n >= 3"):
-        check_symmetric_duality(ch, 0.1, 1.5)
+        check_symmetric_duality(spectrum, 1.5)
     # the open-chain identity has no corner overlap and stays available
-    assert check_open_duality(ch, 0.37 + 0.21j).passed
+    assert check_open_duality(exponent_spectrum(ch, 0.37 + 0.21j)).passed
 
 
 def test_two_site_identity_holds_algebraically():
@@ -116,7 +116,7 @@ def test_transfer_eigenvalue_is_ring_zero():
 def test_duality_extreme_boundary_factor():
     ch = random_chain(4, 1, seed=13)
     z = math.exp(300.0) * complex(math.cos(0.5), math.sin(0.5))
-    rep = check_duality(ch, 0.3 + 0.2j, z)
+    rep = check_duality(exponent_spectrum(ch, 0.3 + 0.2j), z)
     assert rep.passed, rep.to_dict()
 
 
@@ -124,8 +124,9 @@ def test_duality_extreme_boundary_factor():
 def test_identities_hold_at_subnormal_z(z):
     # 1/z overflows double range here: the symmetric form takes -log z
     ch = random_chain(12, 1, seed=7)
+    spectrum = exponent_spectrum(ch, 0.4 + 0.3j)
     for check in (check_duality, check_symmetric_duality):
-        rep = check(ch, 0.4 + 0.3j, z)
+        rep = check(spectrum, z)
         assert rep.passed, rep.to_dict()
         assert math.isfinite(rep.lhs.log_modulus)
 
@@ -134,17 +135,16 @@ def test_duality_at_deeply_subnormal_complex_z():
     # abs(z) keeps about two digits of |z| = 6.96e-320 (the prefactor
     # log|z| was then off by 3e-5); cmath.log(z) keeps them all
     ch = random_chain(3, 1, seed=0)
-    rep = check_duality(ch, 0.3 + 0.2j, cmath.rect(6.96e-320, 2.5))
+    rep = check_duality(exponent_spectrum(ch, 0.3 + 0.2j), cmath.rect(6.96e-320, 2.5))
     assert rep.passed, rep.to_dict()
     assert rep.residual_log <= 1e-12
 
 
 def test_duality_product_overflow_fallback():
     # long disordered chain: the plain product overflows, the stabilized
-    # eigenvalues do not
+    # eigenvalues do not, and the identity holds at the default tolerances
     ch = hatano_nelson(700, -3.5, 3.5, seed=14)
-    rep = check_duality(ch, 0.4 + 0.9j, 1.7 - 0.6j, tol_log=1e-5,
-                        tol_phase=1e-3)
+    rep = check_duality(exponent_spectrum(ch, 0.4 + 0.9j), 1.7 - 0.6j)
     assert rep.passed, rep.to_dict()
 
 
@@ -158,7 +158,7 @@ def test_transfer_routes_on_corpus():
 def test_duality_rejects_zero_z():
     ch = random_chain(3, 1, seed=18)
     with pytest.raises(ValueError):
-        check_duality(ch, 0.1, 0.0)
+        check_duality(exponent_spectrum(ch, 0.1), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,17 +30,16 @@ def test_methods_agree_on_small_chains():
 
 
 def test_checks_reuse_a_passed_spectrum():
+    # the spectrum names its chain and E, so the check reads both from it
     ch = hermitian_chain(8, 2, seed=94)
     e = 0.2 + 0.6j
     sp = exponent_spectrum(ch, e)
+    assert sp.chain is ch and sp.energy == e and (sp.n, sp.m) == (8, 2)
+    assert "chain" not in repr(sp)
     xi = float(np.mean(sp.xi[1:3]))
-    assert jensen_identity_check(ch, e, xi, quad_points=32, spectrum=sp) \
-        == jensen_identity_check(ch, e, xi, quad_points=32)
-    # a spectrum of another energy or chain is refused, not silently used
-    with pytest.raises(ValueError, match="spectrum"):
-        jensen_identity_check(ch, 0.2 + 0.7j, xi, spectrum=sp)
-    with pytest.raises(ValueError, match="spectrum"):
-        jensen_identity_check(hermitian_chain(9, 2, seed=94), e, xi, spectrum=sp)
+    rep = jensen_identity_check(sp, xi, quad_points=32)
+    assert rep == jensen_identity_check(exponent_spectrum(ch, e), xi, quad_points=32)
+    assert rep.energy == e
 
 
 def test_sum_rule_long_chain():
@@ -68,13 +67,13 @@ def test_jensen_identity_various_contours():
     above = float(sp.xi.max()) + 0.4
     inside = 0.5 * (float(np.sort(sp.xi)[1]) + float(np.sort(sp.xi)[2]))
     for xi in (below, above, inside):
-        rep = jensen_identity_check(ch, e, xi, quad_points=256)
+        rep = jensen_identity_check(sp, xi, quad_points=256)
         assert rep.residual <= 1e-8, rep.to_dict()
     # below every exponent the left side reduces to -xi exactly
-    rep = jensen_identity_check(ch, e, below)
+    rep = jensen_identity_check(sp, below)
     assert rep.lhs == pytest.approx(-below, abs=1e-12)
     # above every exponent it reduces to xi - sum/m
-    rep = jensen_identity_check(ch, e, above)
+    rep = jensen_identity_check(sp, above)
     assert rep.lhs == pytest.approx(above - sp.sum / ch.m, abs=1e-10)
 
 
@@ -85,19 +84,19 @@ def test_jensen_quadrature_converges():
     xs = np.sort(sp.xi)
     # a deliberately thin contour margin slows convergence enough to see it
     xi = float(xs[0]) + 0.02
-    coarse = jensen_identity_check(ch, e, xi, quad_points=32)
-    fine = jensen_identity_check(ch, e, xi, quad_points=128)
+    coarse = jensen_identity_check(sp, xi, quad_points=32)
+    fine = jensen_identity_check(sp, xi, quad_points=128)
     assert fine.residual <= coarse.residual
     assert fine.convergence_estimate <= coarse.convergence_estimate
     assert coarse.margin == fine.margin
 
 
 def test_jensen_rejects_bad_quadrature():
-    ch = clean_chain(4)
+    sp = exponent_spectrum(clean_chain(4), 2.0j)
     with pytest.raises(ValueError):
-        jensen_identity_check(ch, 2.0j, 0.1, quad_points=6)
+        jensen_identity_check(sp, 0.1, quad_points=6)
     with pytest.raises(ValueError):
-        jensen_identity_check(ch, 2.0j, 0.1, quad_points=33)
+        jensen_identity_check(sp, 0.1, quad_points=33)
 
 
 def test_contour_guard_suggests_usable_offset():
@@ -105,9 +104,9 @@ def test_contour_guard_suggests_usable_offset():
     e = 0.2 + 0.4j
     sp = exponent_spectrum(ch, e)
     with pytest.raises(ContourTooCloseError) as info:
-        jensen_identity_check(ch, e, float(sp.xi[0]))
+        jensen_identity_check(sp, float(sp.xi[0]))
     suggestion = info.value.suggested_xi
-    rep = jensen_identity_check(ch, e, suggestion)
+    rep = jensen_identity_check(sp, suggestion)
     assert rep.residual <= 1e-8
 
 
@@ -119,8 +118,8 @@ def test_counting_function_matches_slope():
     xs = np.sort(sp.xi)
     xi = 0.5 * (float(xs[1]) + float(xs[2]))
     h = 1e-4
-    up = jensen_identity_check(ch, e, xi + h, quad_points=512).rhs
-    dn = jensen_identity_check(ch, e, xi - h, quad_points=512).rhs
+    up = jensen_identity_check(sp, xi + h, quad_points=512).rhs
+    dn = jensen_identity_check(sp, xi - h, quad_points=512).rhs
     slope = (up - dn) / (2 * h)
     n_from_slope = ch.m * (1.0 + slope)
     assert counting_function(ch, e, xi) == round(n_from_slope)

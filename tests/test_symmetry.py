@@ -37,13 +37,13 @@ def test_symplectic_requires_hermitian_chain():
     with pytest.raises(NotHermitianChainError):
         check_symplectic(ch, 0.3)
     with pytest.raises(NotHermitianChainError):
-        check_unit_circle_exclusion(ch, 0.3 + 1.0j)
+        check_unit_circle_exclusion(exponent_spectrum(ch, 0.3 + 1.0j))
 
 
 def test_pairings_hermitian_real_energy():
     for n, m, seed in [(6, 1, 116), (8, 2, 117)]:
         ch = hermitian_chain(n, m, seed)
-        rep = detect_pairings(ch, 0.2, mode="hermitian-real-E")
+        rep = detect_pairings(exponent_spectrum(ch, 0.2), mode="hermitian-real-E")
         assert rep.unmatched == ()
         assert np.all(rep.pair_id >= 0)
         assert rep.max_defect <= 1e-7
@@ -55,7 +55,7 @@ def test_pairings_hermitian_real_energy():
 
 def test_unit_circle_members_self_pair():
     # clean chain inside the band: every eigenvalue on |z| = 1
-    rep = detect_pairings(clean_chain(8), 0.5, mode="hermitian-real-E")
+    rep = detect_pairings(exponent_spectrum(clean_chain(8), 0.5), mode="hermitian-real-E")
     assert np.all(rep.unit_circle)
     assert rep.unmatched == ()
     counts = {int(i): int(np.sum(rep.pair_id == i)) for i in set(rep.pair_id)}
@@ -64,7 +64,7 @@ def test_unit_circle_members_self_pair():
 
 def test_pairings_real_symmetric_mode():
     ch = hermitian_chain(6, 2, seed=118, real=True)
-    rep = detect_pairings(ch, 0.35, mode="real-symmetric")
+    rep = detect_pairings(exponent_spectrum(ch, 0.35), mode="real-symmetric")
     assert rep.mode == "real-symmetric"
     assert rep.unmatched == ()
     # multiplets close under negation of log-modulus
@@ -74,19 +74,19 @@ def test_pairings_real_symmetric_mode():
 
 def test_pairings_unknown_mode():
     with pytest.raises(ValueError):
-        detect_pairings(clean_chain(4), 0.1, mode="chiral")
+        detect_pairings(exponent_spectrum(clean_chain(4), 0.1), mode="chiral")
 
 
 def test_unit_circle_exclusion():
     ch = hermitian_chain(8, 2, seed=119)
-    rep = check_unit_circle_exclusion(ch, 0.3 + 1.0j)
+    rep = check_unit_circle_exclusion(exponent_spectrum(ch, 0.3 + 1.0j))
     assert rep.passed
     assert rep.margin > 0.0
     # margin grows with the distance from the real axis
-    far = check_unit_circle_exclusion(ch, 0.3 + 3.0j)
+    far = check_unit_circle_exclusion(exponent_spectrum(ch, 0.3 + 3.0j))
     assert far.margin > rep.margin
     with pytest.raises(ValueError):
-        check_unit_circle_exclusion(ch, 0.3)
+        check_unit_circle_exclusion(exponent_spectrum(ch, 0.3))
 
 
 def test_exponent_negation_symmetry_at_real_energy():

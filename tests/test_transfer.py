@@ -180,8 +180,8 @@ def test_cyclic_moduli_of_degenerate_replicas():
 
 def test_values_saturate_on_overflow():
     eig = LogEigenvalues(log_abs=np.array([800.0, -800.0]),
-                         phase=np.array([0.0, 0.0]), n=10, energy=0j,
-                         det_t11=LogDet(0.0, 0.0))
+                         phase=np.array([0.0, 0.0]), chain=clean_chain(10),
+                         energy=0j, det_t11=LogDet(0.0, 0.0))
     vals = eig.values()
     assert vals[0] == complex(math.inf, 0.0)
     assert vals[1] == 0.0
