@@ -30,7 +30,7 @@ import numpy as np
 
 from .chains import BlockChain
 from .hamiltonian import assemble_open
-from .linalg import as_matrix, singular_values
+from .linalg import as_matrix, report_fields, singular_values
 from .resolvent import corner_blocks, transfer_from_resolvent
 from .transfer import stabilized_log_singular_values
 
@@ -45,7 +45,7 @@ class DemkoParams:
     b: float
 
     def to_dict(self) -> dict:
-        return {"q": self.q, "C": self.c, "a": self.a, "b": self.b}
+        return report_fields(self, c="C")
 
 
 def demko_params_pd(a: float, b: float) -> DemkoParams:
@@ -93,10 +93,7 @@ class PDDecayReport:
     violations: int
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {**self.params.to_dict(), "n": self.n, "m": self.m,
-                "max_ratio": self.max_ratio, "min_slack": self.min_slack,
-                "violations": self.violations, "passed": bool(self.passed)}
+    to_dict = report_fields
 
 
 def check_pd_decay(matrix, block_size: int) -> PDDecayReport:
@@ -158,12 +155,7 @@ class CornerDecayReport:
     bound_rate: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {**self.params.to_dict(), "n": self.n,
-                "corner_1n": self.corner_1n, "corner_n1": self.corner_n1,
-                "bound_1n": self.bound_1n, "bound_n1": self.bound_n1,
-                "measured_rate": self.measured_rate,
-                "bound_rate": self.bound_rate, "passed": bool(self.passed)}
+    to_dict = report_fields
 
 
 def check_corner_decay(chain: BlockChain, energy: complex) -> CornerDecayReport:
@@ -240,7 +232,7 @@ class DichotomyReport:
                                "log_low": self.log_threshold_low},
                 "counts": {"above": self.count_above, "below": self.count_below,
                            "middle": self.count_middle},
-                "log_singulars": [float(x) for x in self.log_singulars],
+                "log_singulars": self.log_singulars,
                 "max_slack": self.max_slack}
 
 
@@ -271,10 +263,7 @@ def dichotomy(chain: BlockChain, energy: complex,
     above = int(mask_above.sum())
     below = int(mask_below.sum())
     middle = len(logs) - above - below
-    if len(logs) >= 2 * m:
-        max_slack = min(float(logs[m - 1]) - log_hi, log_lo - float(logs[m]))
-    else:
-        max_slack = -math.inf
+    max_slack = min(float(logs[m - 1]) - log_hi, log_lo - float(logs[m]))
     return DichotomyReport(n=n, m=m, q=params.q, c=params.c, k_const=k_const,
                            log_threshold_high=log_hi, log_threshold_low=log_lo,
                            log_singulars=logs, count_above=above,

@@ -19,6 +19,7 @@ numpy's default_rng (PCG64), whose stream is part of numpy's API.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -80,14 +81,15 @@ class BlockChain:
     def m(self) -> int:
         return self.a.shape[1]
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """Structural check: A_k Hermitian, C_{k+1} = B_k^dag cyclically."""
+    def is_hermitian(self) -> bool:
+        """Structural check: A_k Hermitian, C_{k+1} = B_k^dag cyclically,
+        within 1e-12 of the largest entry of A and B (or of 1)."""
         scale = max(1.0, float(max(np.max(np.abs(self.a)), np.max(np.abs(self.b)))))
         a_defect = np.max(np.abs(self.a - np.swapaxes(self.a.conj(), 1, 2)))
         # np.roll(c, -1)[k] is C_{k+1}, the partner of B_k
         c_defect = np.max(np.abs(np.roll(self.c, -1, axis=0)
                                  - np.swapaxes(self.b.conj(), 1, 2)))
-        return bool(max(a_defect, c_defect) <= tol * scale)
+        return bool(max(a_defect, c_defect) <= 1e-12 * scale)
 
     def reversed(self) -> "BlockChain":
         """The chain traversed in the opposite direction.
@@ -260,6 +262,13 @@ def banded_random(n_sites: int, b: int, low: float, high: float, seed: int) -> B
 _RANDOM_KINDS = ("hatano-nelson", "random-tridiag", "anderson-strip", "banded-random")
 KINDS = _RANDOM_KINDS + ("explicit",)
 
+#: the keys besides "kind" that a model document of each kind takes
+_MODEL_KEYS = {"hatano-nelson": ("n", "interval", "seed"),
+               "random-tridiag": ("n", "interval", "seed"),
+               "anderson-strip": ("n", "m", "w", "seed"),
+               "banded-random": ("n", "m", "interval", "seed"),
+               "explicit": ("A", "B", "C")}
+
 
 def _complex_from_json(entry):
     if isinstance(entry, (list, tuple)):
@@ -331,6 +340,14 @@ class ModelSpec:
             raise ValueError(f"m must be at least 1, got {self.m}")
         if self.kind == "anderson-strip" and self.w is None:
             raise ValueError("anderson-strip requires a disorder width w")
+        if self.w is not None and not math.isfinite(self.w):
+            raise ValueError(f"model field 'w' must be finite, got {self.w!r}")
+        if self.interval is not None:
+            low, high = self.interval
+            # high - low is finite only when both ends are
+            if not math.isfinite(high - low):
+                raise ValueError(f"model field 'interval' must have finite ends and a "
+                                 f"finite width high - low, got [{low!r}, {high!r}]")
         if self.kind in ("hatano-nelson", "random-tridiag", "banded-random") \
                 and self.interval is None:
             raise ValueError(f"{self.kind} requires interval [low, high]")
@@ -359,20 +376,20 @@ class ModelSpec:
     def to_dict(self) -> dict:
         if self.kind == "explicit":
             return {"kind": self.kind, **self.blocks}
-        doc: dict = {"kind": self.kind, "n": self.n, "seed": self.seed}
-        if self.kind in ("anderson-strip", "banded-random"):
-            doc["m"] = self.m
-        if self.w is not None:
-            doc["w"] = self.w
-        if self.interval is not None:
-            doc["interval"] = list(self.interval)
-        return doc
+        return {"kind": self.kind,
+                **{key: getattr(self, key) for key in _MODEL_KEYS[self.kind]}}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelSpec":
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ValueError("model document must be an object with a 'kind' field")
         kind = doc["kind"]
+        if kind in KINDS:
+            unused = sorted(set(doc) - {"kind", *_MODEL_KEYS[kind]})
+            if unused:
+                raise ValueError(
+                    f"unknown key(s) {', '.join(map(repr, unused))} for model "
+                    f"kind {kind!r}; its keys are kind, {', '.join(_MODEL_KEYS[kind])}")
         if kind == "explicit":
             missing = [f for f in ("A", "B", "C") if f not in doc]
             if missing:

@@ -111,7 +111,7 @@ def _build_chain(config: dict) -> tuple[BlockChain, dict]:
     try:
         spec = ModelSpec.from_dict(config["model"])
         chain = spec.build()
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise InputError(f"bad model: {exc}") from exc
     summary = spec.to_dict()
     if spec.kind == "explicit":
@@ -181,9 +181,12 @@ def _emit(report: dict | str, path: str | None) -> None:
         report = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
     if path is None:
         sys.stdout.write(report)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(report)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +263,8 @@ def _cmd_verify(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
         "model": model_summary,
-        "energy": [energy.real, energy.imag],
-        "z": [z.real, z.imag],
+        "energy": energy,
+        "z": z,
         "checks": checks,
         "notices": notices,
         "passed": passed,
@@ -370,10 +373,10 @@ def _cmd_exponents(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "exponents",
         "model": model_summary,
-        "energy": [energy.real, energy.imag],
+        "energy": energy,
         # periodic QR is the only route; both keys keep the report's schema
         "method": "periodic",
-        "xi": [float(x) for x in spectrum.xi],
+        "xi": spectrum.xi,
         "sum": spectrum.sum,
         "sum_rule": sum_rule_value(chain),
         "phase_reliable": True,
@@ -401,7 +404,7 @@ def _cmd_bounds(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "bounds",
         "model": model_summary,
-        "energy": [energy.real, energy.imag],
+        "energy": energy,
         "corner_decay": corner.to_dict(),
         "dichotomy": {**dich.to_dict(), "split_holds": counts_ok},
         "passed": bool(corner.passed),

@@ -44,6 +44,8 @@ from .transfer import LogEigenvalues, product
 #: default acceptance tolerances for the identity checks
 TOL_LOG = 1e-7
 TOL_PHASE_PER_SIZE = 1e-6
+#: transfer-routes tolerance on ||T_prod - T_res||_max / ||T_prod||_max
+TOL_ROUTES = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,8 @@ class DualityReport:
     def to_dict(self) -> dict:
         return {
             "check": self.name,
-            "E": [self.energy.real, self.energy.imag],
-            "z": None if self.z is None else [self.z.real, self.z.imag],
+            "E": self.energy,
+            "z": self.z,
             "lhs_log": self.lhs.log_modulus,
             "rhs_log": self.rhs.log_modulus,
             "lhs_phase": self.lhs.phase,
@@ -75,7 +77,7 @@ class DualityReport:
             "residual_phase": self.residual_phase,
             "tol_log": self.tol_log,
             "tol_phase": self.tol_phase,
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "note": self.note,
         }
 
@@ -188,8 +190,7 @@ def check_symmetric_duality(spectrum: LogEigenvalues, z: complex,
     return _compare("symmetric-duality", spectrum, z, lhs, rhs, tol_log)
 
 
-def check_transfer_routes(chain: BlockChain, energy: complex,
-                          tol: float = 1e-6) -> DualityReport:
+def check_transfer_routes(chain: BlockChain, energy: complex) -> DualityReport:
     """Product route versus resolvent route for T(E), entrywise."""
     t_prod = product(chain, energy)
     t_res = transfer_from_resolvent(chain, energy)
@@ -200,8 +201,8 @@ def check_transfer_routes(chain: BlockChain, energy: complex,
         lhs=LogDet.from_complex(scale if scale else 1.0),
         rhs=LogDet.from_complex(max(residual, 1e-300)),
         residual_log=residual / max(scale, 1e-300), residual_phase=0.0,
-        tol_log=tol, tol_phase=math.inf,
-        passed=bool(residual <= tol * max(scale, 1e-300)),
+        tol_log=TOL_ROUTES, tol_phase=math.inf,
+        passed=bool(residual <= TOL_ROUTES * max(scale, 1e-300)),
         note="residual_log is ||T_prod - T_res||_max / ||T_prod||_max")
 
 

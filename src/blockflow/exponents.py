@@ -32,7 +32,7 @@ import numpy as np
 
 from .chains import BlockChain
 from .hamiltonian import ring_band
-from .linalg import logdet_blocks
+from .linalg import logdet_blocks, report_fields
 from .transfer import LogEigenvalues, eigenvalues_stabilized
 
 #: minimum distance of an integration contour from any exponent
@@ -140,17 +140,7 @@ class JensenReport:
     convergence_estimate: float
     margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "E": [self.energy.real, self.energy.imag],
-            "xi": self.xi,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "quad_points": self.quad_points,
-            "convergence_estimate": self.convergence_estimate,
-            "margin": self.margin,
-        }
+    to_dict = report_fields
 
 
 def jensen_identity_check(spectrum: LogEigenvalues, xi: float,
@@ -222,10 +212,7 @@ class HadamardFisherReport:
     slack: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {"E": [self.energy.real, self.energy.imag], "xi": self.xi,
-                "lhs": self.lhs, "rhs": self.rhs, "slack": self.slack,
-                "passed": bool(self.passed)}
+    to_dict = report_fields
 
 
 def hadamard_fisher_bound(chain: BlockChain, energy: complex,

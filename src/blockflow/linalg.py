@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import scipy.linalg
@@ -102,6 +102,23 @@ class LogDet:
         return self.log_modulus == float("-inf")
 
 
+def report_fields(report, **renames) -> dict:
+    """A report dataclass's fields as {key: raw value}: keyed by name, but
+    ``energy`` by "E" and the names in ``renames`` as given there, with a
+    nested report flattened into its keys.  The command line makes the
+    values JSON-safe (complex to [re, im], arrays to lists).
+    """
+    renames = {"energy": "E", **renames}
+    doc = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if is_dataclass(value):
+            doc.update(value.to_dict())
+        else:
+            doc[renames.get(f.name, f.name)] = value
+    return doc
+
+
 def lu_logdet(a) -> LogDet:
     """Determinant of a square matrix as a LogDet, via pivoted LU.
 
@@ -149,15 +166,15 @@ def singular_values(a) -> np.ndarray:
         raise EigenConvergenceError(str(exc)) from exc
 
 
-def raise_first_singular(svals: np.ndarray, names, tol: float = TOL_INV) -> None:
+def raise_first_singular(svals: np.ndarray, names) -> None:
     """Raise SingularMatrixError for the first singular matrix of a stack.
 
     ``svals[i]`` holds the descending singular values of the i-th square
     matrix (as one batched SVD returns them) and ``names[i]`` its name.  A
-    matrix is singular when sigma_min <= tol * max(sigma_max, 1) * size.
+    matrix is singular when sigma_min <= TOL_INV * max(sigma_max, 1) * size.
     """
     size = svals.shape[1]
-    bad = np.flatnonzero(svals[:, -1] <= tol * np.maximum(svals[:, 0], 1.0) * size)
+    bad = np.flatnonzero(svals[:, -1] <= TOL_INV * np.maximum(svals[:, 0], 1.0) * size)
     if bad.size:
         s = svals[bad[0]]
         raise SingularMatrixError(
@@ -176,11 +193,11 @@ def logdet_blocks(blocks) -> LogDet:
     return LogDet(float(np.sum(log_abs)), wrap_phase(float(np.angle(np.prod(sign)))))
 
 
-def match_tolerance(values: np.ndarray, scale: float = 1e-7) -> float:
-    """Matching radius for eigenvalue multisets: scale * (1 + spectral radius)."""
+def match_tolerance(values: np.ndarray) -> float:
+    """Matching radius for eigenvalue multisets: 1e-7 * (1 + spectral radius)."""
     vals = np.asarray(values)
     radius = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return scale * (1.0 + radius)
+    return 1e-7 * (1.0 + radius)
 
 
 def match_spectra(left, right, tol: float | None = None):

@@ -24,10 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import BlockChain
+from .linalg import report_fields
 from .transfer import LogEigenvalues, product, steps
-
-#: tolerance for the structural Hermitian-chain test
-TOL_STRUCTURE = 1e-12
 
 #: exponent pairing tolerance |log|z| + log|z'||
 TOL_PAIR = 1e-7
@@ -41,7 +39,7 @@ class NotHermitianChainError(ValueError):
 
 
 def _require_hermitian(chain: BlockChain) -> None:
-    if not chain.is_hermitian(tol=TOL_STRUCTURE):
+    if not chain.is_hermitian():
         raise NotHermitianChainError(
             "not a Hermitian chain: need A_k = A_k^dag and C_{k+1} = B_k^dag "
             "(cyclically) within 1e-12")
@@ -71,18 +69,13 @@ class SymplecticReport:
     step_residuals: tuple[float, ...]
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {"E": [self.energy.real, self.energy.imag],
-                "residual": self.residual, "scale": self.scale,
-                "step_residuals": list(self.step_residuals),
-                "passed": bool(self.passed)}
+    to_dict = report_fields
 
 
-def check_symplectic(chain: BlockChain, energy: complex,
-                     tol: float = 1e-9) -> SymplecticReport:
+def check_symplectic(chain: BlockChain, energy: complex) -> SymplecticReport:
     """Verify T(Ebar)^dag Sigma_n T(E) = Sigma_n and each one-step relation.
 
-    The residual is compared against tol times a conditioning scale
+    The residual is compared against 1e-9 times a conditioning scale
     ||T(Ebar)||*||T(E)||*||Sigma_n||, the size at which roundoff enters
     the triple product.
     """
@@ -104,7 +97,7 @@ def check_symplectic(chain: BlockChain, energy: complex,
     return SymplecticReport(energy=complex(energy), residual=residual,
                             scale=scale,
                             step_residuals=tuple(float(r) for r in step_residuals),
-                            passed=bool(residual <= tol * scale))
+                            passed=bool(residual <= 1e-9 * scale))
 
 
 @dataclass(frozen=True)
@@ -126,17 +119,7 @@ class PairingReport:
     unmatched: tuple[int, ...]
     max_defect: float
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "E": [self.energy.real, self.energy.imag],
-            "log_abs": [float(x) for x in self.log_abs],
-            "phase": [float(x) for x in self.phase],
-            "pair_id": [int(i) for i in self.pair_id],
-            "unit_circle": [bool(u) for u in self.unit_circle],
-            "unmatched": list(self.unmatched),
-            "max_defect": self.max_defect,
-        }
+    to_dict = report_fields
 
 
 def detect_pairings(spectrum: LogEigenvalues,
@@ -213,9 +196,7 @@ class UnitCircleReport:
     margin: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {"E": [self.energy.real, self.energy.imag],
-                "margin": self.margin, "passed": bool(self.passed)}
+    to_dict = report_fields
 
 
 def check_unit_circle_exclusion(spectrum: LogEigenvalues) -> UnitCircleReport:

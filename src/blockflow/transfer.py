@@ -33,6 +33,10 @@ from .linalg import (EigenConvergenceError, LogDet, SingularMatrixError,
 
 #: steps between re-orthogonalizations of the accumulated product
 K_QR = 8
+#: graded Jacobi: a column pair with |overlap| at most this is orthogonal
+TOL_JACOBI = 1e-15
+#: graded Jacobi: sweeps before the orthogonalization is refused
+MAX_JACOBI_SWEEPS = 40
 
 #: periodic QR: a boundary has converged once its defect is at most this
 TOL_BOUNDARY = 1e-12
@@ -81,8 +85,7 @@ def product(chain: BlockChain, energy: complex,
 # ---------------------------------------------------------------------------
 # stabilized singular values: graded one-sided Jacobi accumulation
 
-def _orthogonalize_graded(cols: np.ndarray, logs: np.ndarray,
-                          tol: float = 1e-15, max_sweeps: int = 40) -> None:
+def _orthogonalize_graded(cols: np.ndarray, logs: np.ndarray) -> None:
     """One-sided Jacobi on the matrix with j-th column cols[:, j]*exp(logs[j]).
 
     Works in place.  Columns are kept unit norm with the true norms carried
@@ -91,7 +94,7 @@ def _orthogonalize_graded(cols: np.ndarray, logs: np.ndarray,
     i.e. logs holds the log singular values (unsorted).
     """
     d = cols.shape[1]
-    for _ in range(max_sweeps):
+    for _ in range(MAX_JACOBI_SWEEPS):
         rotated = False
         for i in range(d):
             for j in range(i + 1, d):
@@ -99,7 +102,7 @@ def _orthogonalize_graded(cols: np.ndarray, logs: np.ndarray,
                     cols[:, [i, j]] = cols[:, [j, i]]
                     logs[[i, j]] = logs[[j, i]]
                 overlap = complex(np.vdot(cols[:, i], cols[:, j]))
-                if abs(overlap) <= tol:
+                if abs(overlap) <= TOL_JACOBI:
                     continue
                 rotated = True
                 r = math.exp(min(logs[j] - logs[i], 0.0))  # <= 1, may underflow to 0
@@ -353,16 +356,15 @@ def cyclic_log_moduli(chain: BlockChain, energy: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # polynomial structure in E
 
-def polynomial_coefficients(chain: BlockChain, degree: int | None = None) -> list[np.ndarray]:
-    """Matrix coefficients T_0..T_degree of T(E) = sum_p T_p E^p.
+def polynomial_coefficients(chain: BlockChain) -> list[np.ndarray]:
+    """Matrix coefficients T_0..T_n of T(E) = sum_p T_p E^p.
 
     Entries of T(E) are polynomials in E of degree at most n, so
-    interpolation on degree+1 Chebyshev points is exact.  Intended for
+    interpolation on n+1 Chebyshev points is exact.  Intended for
     degree checks on short chains; cost grows with the usual
     ill-conditioning of high-degree interpolation.
     """
-    if degree is None:
-        degree = chain.n
+    degree = chain.n
     d = 2 * chain.m
     nodes = np.cos(np.pi * (2 * np.arange(degree + 1) + 1) / (2 * (degree + 1)))
     samples = np.stack([product(chain, complex(x)) for x in nodes])

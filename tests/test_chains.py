@@ -301,11 +301,11 @@ def test_model_spec_validation():
         ModelSpec(kind="anderson-strip", n=4, seed=1)  # no width
     # the block size is checked before any generator divides by it or
     # allocates with it
-    for kind, m in [("banded-random", 0), ("anderson-strip", 0),
-                    ("anderson-strip", -2)]:
+    for kind, m, extra in [("banded-random", 0, {"interval": [-1, 1]}),
+                           ("anderson-strip", 0, {"w": 1.0}),
+                           ("anderson-strip", -2, {"w": 1.0})]:
         with pytest.raises(ValueError, match=f"^m must be at least 1, got {m}$"):
-            ModelSpec.from_dict({"kind": kind, "n": 6, "m": m, "w": 1.0,
-                                 "interval": [-1, 1], "seed": 1})
+            ModelSpec.from_dict({"kind": kind, "n": 6, "m": m, "seed": 1, **extra})
     with pytest.raises(ValueError):
         ModelSpec.from_dict({"kind": "explicit", "A": [[[0.0]]]})
     with pytest.raises(ValueError):

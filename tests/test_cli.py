@@ -270,12 +270,34 @@ def test_non_integral_size_is_input_error(tmp_path, capsys):
                             "integer, got 4.9\n")
 
 
+def test_model_value_beyond_double_range_is_bad_model(tmp_path, capsys):
+    # a JSON integer float() cannot hold raises OverflowError
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "anderson-strip", "n": 6, "m": 2, "w": 10 ** 400,
+                  "seed": 5},
+        "energy": [0.1, 0.1]})
+    rc = main(["verify", "--config", cfg])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ("error: bad model: int too large to convert to "
+                            "float\n")
+
+
 @pytest.mark.parametrize("command, extra, key", [
     ("curve", {"xi": 0.3, "phi_step": 16}, "'phi_step'"),
     ("exponents", {"method": "cyclic"}, "'method'"),
+    # a model key its kind does not take: m = 3 built an m = 1 chain, and a
+    # stray w was echoed into the report's model summary
+    ("verify", {"model": {"kind": "hatano-nelson", "n": 10, "seed": 7,
+                          "interval": [-2, 2], "m": 3}}, "'m'"),
+    ("verify", {"model": {"kind": "hatano-nelson", "n": 10, "seed": 7,
+                          "interval": [-2, 2], "w": 5}}, "'w'"),
+    ("bounds", {"model": {"kind": "anderson-strip", "n": 6, "m": 2, "w": 4.0,
+                          "seed": 5, "mm": 3}}, "'mm'"),
 ])
 def test_unknown_config_key_is_input_error(tmp_path, capsys, command, extra, key):
-    # a misspelt or retired key must not fall back to a default silently
+    # a misspelt, retired or unused key must not fall back to a default
+    # silently
     cfg = write_config(tmp_path, {
         "model": {"kind": "random-tridiag", "n": 10, "seed": 7,
                   "interval": [-2, 2]},
@@ -410,10 +432,17 @@ def test_curve_overflowing_xi_is_input_error(tridiag_config, capsys):
     (["bounds", "--phi-steps", "16"], {}, "--phi-steps"),
     # a negative tolerance would fail every check: bad input, not a failure
     (["verify", "--tol-log", "-1"], {}, "--tol-log"),
+    # output files that cannot be written: a missing directory, a directory
+    (["verify", "--json", "/nonexistent/x.json"], {}, "cannot write /nonexistent/x.json"),
+    (["exponents", "--csv", "/nonexistent/x.csv"], {}, "cannot write /nonexistent/x.csv"),
+    (["curve", "--xi", "0.1", "--svg", "/nonexistent/x.svg"], {},
+     "cannot write /nonexistent/x.svg"),
+    (["curve", "--xi", "0.1", "--csv", "."], {}, "cannot write ."),
 ])
 def test_out_of_range_xi_is_named(tmp_path, capsys, argv, config_extra, named):
-    # e^(xi) beyond double range, or a flag value or flag that is refused:
-    # exit 2 with one error line naming the input
+    # e^(xi) beyond double range, a flag value or flag that is refused, or
+    # an output file that cannot be written: exit 2 with one error line
+    # naming the input
     cfg = write_config(tmp_path, {
         "model": {"kind": "random-tridiag", "n": 10, "seed": 7,
                   "interval": [-2, 2]},
@@ -437,6 +466,15 @@ def test_out_of_range_xi_is_named(tmp_path, capsys, argv, config_extra, named):
     (["verify"], {"z": float("nan")}, "'z'"),
     (["verify"], {"xi": float("nan")}, "'xi'"),
     (["curve"], {"xi": float("inf")}, "'xi'"),
+    # model values numpy cannot sample from
+    (["verify"], {"model": {"kind": "anderson-strip", "n": 6, "m": 2, "w": "nan",
+                            "seed": 5}}, "bad model: model field 'w'"),
+    (["verify"], {"model": {"kind": "random-tridiag", "n": 10, "seed": 7,
+                            "interval": [-2, float("inf")]}},
+     "bad model: model field 'interval'"),
+    (["verify"], {"model": {"kind": "banded-random", "n": 12, "m": 3, "seed": 1,
+                            "interval": [-1e308, 1e308]}},
+     "bad model: model field 'interval'"),
 ])
 def test_nonfinite_input_is_named(tmp_path, capsys, argv, config_extra, named):
     cfg = write_config(tmp_path, {
@@ -558,7 +596,7 @@ def test_jacobi_non_convergence_is_one_error_line(tmp_path, capsys, monkeypatch)
     # no Jacobi sweep allowed: the graded orthogonalization cannot converge
     from blockflow import transfer
 
-    monkeypatch.setattr(transfer._orthogonalize_graded, "__defaults__", (1e-15, 0))
+    monkeypatch.setattr(transfer, "MAX_JACOBI_SWEEPS", 0)
     cfg = write_config(tmp_path, {
         "model": {"kind": "random-tridiag", "n": 48, "seed": 11,
                   "interval": [-2, 2]},
@@ -631,6 +669,9 @@ _FLAGS = {"verify": ("energy", "z", "xi", "phi", "tol_log"),
           "exponents": ("energy", "jensen_xi", "quad_points"),
           "bounds": ("energy",)}
 _CONFIG_KEYS = ("energy", "z", "xi", "phi", "phi_steps", "quad_points")
+#: the output-file flags of each subcommand
+_OUTPUTS = {"verify": ("json",), "curve": ("json", "csv", "svg"),
+            "exponents": ("json", "csv"), "bounds": ("json",)}
 _COUNTS = ("phi_steps", "quad_points")
 #: non-finite, huge, non-integral, negative and non-numeric values
 _BAD = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 16.5, -16, 0,
@@ -663,10 +704,16 @@ def test_cli_fuzz_keeps_the_exit_code_contract(data):
         if data.draw(st.booleans(), label=f"flag {key}"):
             flags[key] = data.draw(_VALID[key], label=key)
     for _ in range(data.draw(st.integers(0, 2), label="bad slots")):
-        where = data.draw(st.sampled_from(["config", "flag", "unknown"]), label="where")
+        where = data.draw(st.sampled_from(["config", "flag", "unknown", "output"]),
+                          label="where")
         if where == "unknown":
             doc["bogus"] = 1
             flags["bogus"] = ""
+            continue
+        if where == "output":
+            # a file in a directory that does not exist
+            output = data.draw(st.sampled_from(_OUTPUTS[command]), label="output")
+            flags[output] = "/nonexistent/out"
             continue
         # a key the subcommand reads, from its config or its flag
         keys = [key for key in _FLAGS[command]
