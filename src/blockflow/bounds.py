@@ -45,7 +45,7 @@ class DemkoParams:
     b: float
 
     def to_dict(self) -> dict:
-        return report_fields(self, c="C")
+        return {"q": self.q, "C": self.c, "a": self.a, "b": self.b}
 
 
 def demko_params_pd(a: float, b: float) -> DemkoParams:

@@ -311,6 +311,20 @@ def _integer_field(doc: dict, name: str, default: int | None) -> int | None:
         raise ValueError(f"model field {name!r} {exc}") from None
 
 
+def _float_field(doc: dict, name: str):
+    """doc[name] as a float (a pair of them for "interval"), or None when it
+    is absent; a malformed value raises a ValueError naming the field."""
+    if name not in doc:
+        return None
+    try:
+        if name != "interval":
+            return float(doc[name])
+        low, high = doc[name]
+        return float(low), float(high)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"model field {name!r}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """JSON-serializable description of a chain.
@@ -398,12 +412,11 @@ class ModelSpec:
             n = len(doc["A"])
             m = len(doc["A"][0]) if n else 0
             return cls(kind=kind, n=n, m=m, blocks=blocks)
-        interval = doc.get("interval")
         return cls(kind=kind,
                    n=_integer_field(doc, "n", 0),
                    m=_integer_field(doc, "m", 1),
-                   w=float(doc["w"]) if "w" in doc else None,
-                   interval=tuple(float(x) for x in interval) if interval else None,
+                   w=_float_field(doc, "w"),
+                   interval=_float_field(doc, "interval"),
                    seed=_integer_field(doc, "seed", None))
 
     @classmethod

@@ -24,6 +24,7 @@ import cmath
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -173,6 +174,16 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
+
+
+def _writable(path: str) -> str:
+    """An output flag's path, refused when it cannot be written: the parser
+    checks every output path before anything is computed, so a refusal
+    leaves no partial output behind."""
+    target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write {path}: not a writable file")
+    return path
 
 
 def _emit(report: dict | str, path: str | None) -> None:
@@ -417,7 +428,7 @@ def _cmd_bounds(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file with a 'model' entry")
-    p.add_argument("--json", metavar="FILE",
+    p.add_argument("--json", metavar="FILE", type=_writable,
                    help="write the JSON report here instead of stdout")
 
 
@@ -453,14 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--xi", type=float)
     p.add_argument("--phi-steps", type=int, dest="phi_steps")
-    p.add_argument("--csv", metavar="FILE", help="CSV output (default stdout)")
-    p.add_argument("--svg", metavar="FILE", help="also write a scatter plot")
+    p.add_argument("--csv", metavar="FILE", type=_writable, help="CSV output (default stdout)")
+    p.add_argument("--svg", metavar="FILE", type=_writable, help="also write a scatter plot")
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("exponents", help="characteristic exponents at one energy")
     _add_common(p)
     p.add_argument("--energy", metavar="RE[,IM]")
-    p.add_argument("--csv", metavar="FILE", help="write the spectrum as CSV")
+    p.add_argument("--csv", metavar="FILE", type=_writable, help="write the spectrum as CSV")
     p.add_argument("--jensen-xi", type=float, dest="jensen_xi",
                    help="also evaluate the contour identity at this xi")
     p.add_argument("--quad-points", type=int, dest="quad_points")

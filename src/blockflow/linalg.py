@@ -102,20 +102,19 @@ class LogDet:
         return self.log_modulus == float("-inf")
 
 
-def report_fields(report, **renames) -> dict:
+def report_fields(report) -> dict:
     """A report dataclass's fields as {key: raw value}: keyed by name, but
-    ``energy`` by "E" and the names in ``renames`` as given there, with a
-    nested report flattened into its keys.  The command line makes the
-    values JSON-safe (complex to [re, im], arrays to lists).
+    ``energy`` by "E", with a nested report flattened into its keys.  The
+    command line makes the values JSON-safe (complex to [re, im], arrays
+    to lists).
     """
-    renames = {"energy": "E", **renames}
     doc = {}
     for f in fields(report):
         value = getattr(report, f.name)
         if is_dataclass(value):
             doc.update(value.to_dict())
         else:
-            doc[renames.get(f.name, f.name)] = value
+            doc["E" if f.name == "energy" else f.name] = value
     return doc
 
 

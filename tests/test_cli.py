@@ -270,17 +270,24 @@ def test_non_integral_size_is_input_error(tmp_path, capsys):
                             "integer, got 4.9\n")
 
 
-def test_model_value_beyond_double_range_is_bad_model(tmp_path, capsys):
+@pytest.mark.parametrize("field, value", [
     # a JSON integer float() cannot hold raises OverflowError
-    cfg = write_config(tmp_path, {
-        "model": {"kind": "anderson-strip", "n": 6, "m": 2, "w": 10 ** 400,
-                  "seed": 5},
-        "energy": [0.1, 0.1]})
+    ("w", 10 ** 400),
+    ("interval", 3),
+    ("interval", [-2, 2, 3]),
+    ("interval", [-2, "x"]),
+], ids=["w-beyond-double", "interval-number", "interval-triple", "interval-string"])
+def test_malformed_model_value_names_its_field(tmp_path, capsys, field, value):
+    model = {"kind": "anderson-strip", "n": 6, "m": 2, "w": 4.0, "seed": 5}
+    if field == "interval":
+        model = {"kind": "random-tridiag", "n": 10, "seed": 7}
+    cfg = write_config(tmp_path, {"model": {**model, field: value},
+                                  "energy": [0.1, 0.1]})
     rc = main(["verify", "--config", cfg])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err == ("error: bad model: int too large to convert to "
-                            "float\n")
+    assert captured.err.startswith(f"error: bad model: model field {field!r}: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, extra, key", [
@@ -452,6 +459,31 @@ def test_out_of_range_xi_is_named(tmp_path, capsys, argv, config_extra, named):
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["curve", "--xi", "0.1", "--svg", "/nonexistent/x.svg"], None),
+    (["curve", "--xi", "0.1", "--csv", "c.csv", "--json", "/nonexistent/x.json"],
+     "c.csv"),
+    (["exponents", "--csv", "e.csv", "--json", "/nonexistent/x.json"], "e.csv"),
+])
+def test_unwritable_output_leaves_no_partial_output(tmp_path, capsys, monkeypatch,
+                                                    argv, written):
+    # every output path is checked before the first one is written
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "random-tridiag", "n": 10, "seed": 7,
+                  "interval": [-2, 2]},
+        "energy": [0.4, 0.3]})
+    monkeypatch.chdir(tmp_path)
+    rc = main([argv[0], "--config", cfg, *argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --")
+    assert "cannot write /nonexistent/x." in captured.err
+    assert captured.err.count("\n") == 1
+    if written is not None:
+        assert not (tmp_path / written).exists()
 
 
 @pytest.mark.parametrize("argv, config_extra, named", [
