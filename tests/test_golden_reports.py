@@ -7,7 +7,8 @@ determinant at extreme |z| (z = 1e120; it takes the same folded band
 route as every other z and no longer selects a ring route of its own),
 the Hermitian checks at complex and at real E, the n = 2 skip notice, a
 block size m = 3, the exponents report with and without the contour
-identity, the bounds report and a spectral-curve CSV.
+identity, the bounds report on a non-Hermitian and on a Hermitian chain
+and a spectral-curve CSV.
 
 The golden files are per platform: the reports print every float in full
 (``repr``), so a different numpy/LAPACK build may change the last digits,
@@ -64,6 +65,7 @@ CASES = {
     "exponents-jensen": (TRIDIAG, ["exponents", "--jensen-xi", "0.02",
                                    "--quad-points", "64"], 0),
     "bounds": (BOUNDS, ["bounds"], 0),
+    "bounds-strip": (STRIP, ["bounds"], 0),
     "curve-csv": (TRIDIAG, ["curve", "--xi", "0.35", "--phi-steps", "16"], 0),
 }
 
