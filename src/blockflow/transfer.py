@@ -74,12 +74,18 @@ def product(chain: BlockChain, energy: complex,
         step_mats = steps(chain, energy)
     total = np.eye(2 * chain.m, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, step in enumerate(step_mats, start=1):
+        for step in step_mats:
             total = step @ total
-            if not np.all(np.isfinite(total)):
-                raise ProductOverflowError(
-                    f"transfer product overflowed at step {k} of {chain.n}")
-    return total
+        # inf and nan never turn finite again (inf*x, 0*inf, inf - inf), so
+        # a finite total means no step overflowed; otherwise name the first
+        if np.isfinite(total).all():
+            return total
+        partial = np.eye(2 * chain.m, dtype=complex)
+        for k, step in enumerate(step_mats, start=1):
+            partial = step @ partial
+            if not np.isfinite(partial).all():
+                break
+    raise ProductOverflowError(f"transfer product overflowed at step {k} of {chain.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +122,14 @@ def _orthogonalize_graded(cols: np.ndarray, logs: np.ndarray) -> None:
                 t_over_r = 1.0 / denom
                 t = t_over_r * r
                 c_t = 1.0 / math.sqrt(1.0 + t * t)
-                col_i = cols[:, i].copy()
-                col_j = cols[:, j].copy()
+                # both new columns are formed before either is written back;
+                # the norms are the sums numpy.linalg.norm computes
                 # large column: an O(t*r) correction keeps it large
-                v = col_i + (t * r / phase) * col_j
-                nv = float(np.linalg.norm(v))
+                v = cols[:, i] + (t * r / phase) * cols[:, j]
+                nv = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
                 # small column: O(1) direction change, log moves by log(c_t*|u|)
-                u = col_j - (t_over_r * phase) * col_i
-                nu = float(np.linalg.norm(u))
+                u = cols[:, j] - (t_over_r * phase) * cols[:, i]
+                nu = math.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag))
                 if nu <= 1e-14 or nv <= 1e-14:
                     raise EigenConvergenceError(
                         "graded Jacobi lost a direction: columns collapsed "
@@ -156,8 +162,10 @@ def stabilized_log_singular_values(chain: BlockChain, energy: complex,
     overlap_cap = 0.999
     for k, step in enumerate(steps(chain, energy), start=1):
         cols = step @ cols
-        norms = np.linalg.norm(cols, axis=0)
-        if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
+        # the column norms as numpy.linalg.norm(cols, axis=0) computes them
+        norms = np.sqrt(np.add.reduce((cols.conj() * cols).real, axis=0))
+        # a nan norm fails the first test
+        if not (norms.min() > 0.0 and norms.max() < math.inf):
             raise SingularMatrixError(
                 f"transfer step {k} annihilated a direction; chain is degenerate")
         cols /= norms
