@@ -19,6 +19,16 @@ crossover length the transfer matrix has exactly m singular values above
 q^{-n/2}/K and m below K q^{n/2} with
 
     K = m ||B_n|| C (||A_1 - E|| + ||B_1||) q^{-3/2}.
+
+When h is exactly Hermitian (A_k = A_k^dag and C_{k+1} = B_k^dag for
+k < n, bit for bit), h - E is normal, so its singular values are exactly
+|lambda_i(h) - E|.  The interval then comes from the eigenvalues of h by
+LAPACK's Hermitian band solver on the band h already has, O(n m^3) time
+and O(n m^2) memory.  That solver is backward stable, so by Weyl's
+theorem each computed lambda is within c eps ||h|| of the exact one: the
+accuracy class of the dense SVD, whose sigma are within c eps ||h - E||.
+Every other chain, including one Hermitian only up to rounding, takes
+the dense SVD of h - E.
 """
 
 from __future__ import annotations
@@ -27,10 +37,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .chains import BlockChain
-from .hamiltonian import assemble_open
-from .linalg import as_matrix, report_fields, singular_values
+from .hamiltonian import assemble_open, open_band
+from .linalg import EigenConvergenceError, as_matrix, report_fields, singular_values
 from .resolvent import corner_blocks, transfer_from_resolvent
 from .transfer import stabilized_log_singular_values
 
@@ -65,9 +76,14 @@ def demko_params_general(matrix) -> DemkoParams:
     with q = (cond-1)/(cond+1) and C = (cond+1)^2/(2 ||A||^2).
     """
     s = singular_values(as_matrix(matrix))
-    if s[-1] == 0.0:
+    return _params_from_singular_interval(float(s[-1]), float(s[0]))
+
+
+def _params_from_singular_interval(s_min: float, s_max: float) -> DemkoParams:
+    """demko_params_pd on [s_min^2, s_max^2], refusing a singular matrix
+    and constants that leave double range."""
+    if s_min == 0.0:
         raise ValueError("matrix is singular; no decay parameters exist")
-    s_min, s_max = float(s[-1]), float(s[0])
     try:
         params = demko_params_pd(s_min ** 2, s_max ** 2)
     except OverflowError:
@@ -79,6 +95,28 @@ def demko_params_general(matrix) -> DemkoParams:
         raise ValueError(f"Demko parameters leave double range: sigma_min = "
                          f"{s_min:.3e}, sigma_max = {s_max:.3e}")
     return params
+
+
+def _shifted_params(chain: BlockChain, energy: complex) -> DemkoParams:
+    """Demko parameters of h - E: from the band spectrum of h when h is
+    exactly Hermitian, else demko_params_general on the dense h - E."""
+    energy = complex(energy)
+    a_dag = np.swapaxes(chain.a.conj(), 1, 2)
+    b_dag = np.swapaxes(chain.b[:-1].conj(), 1, 2)
+    if not (np.array_equal(chain.a, a_dag) and np.array_equal(chain.c[1:], b_dag)):
+        return demko_params_general(
+            assemble_open(chain) - energy * np.eye(chain.n * chain.m))
+    ab, kl, ku = open_band(chain, 0.0)
+    # rows kl..kl+ku hold the upper band of -h in the layout hbevd reads
+    upper = -ab[kl:kl + ku + 1]
+    if not upper.imag.any():
+        upper = upper.real
+    try:
+        eigs = scipy.linalg.eigvals_banded(upper, lower=False, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(str(exc)) from exc
+    dist = np.abs(eigs - energy)
+    return _params_from_singular_interval(float(dist.min()), float(dist.max()))
 
 
 @dataclass(frozen=True)
@@ -169,9 +207,7 @@ def check_corner_decay(chain: BlockChain, energy: complex) -> CornerDecayReport:
     bound_rate = (1/2) log q.
     """
     n, m = chain.n, chain.m
-    h = assemble_open(chain)
-    shifted = h - complex(energy) * np.eye(n * m)
-    params = demko_params_general(shifted)
+    params = _shifted_params(chain, energy)
     corners = corner_blocks(chain, energy)
     eye = np.eye(m)
     norm_a1 = float(np.linalg.norm(chain.a[0] - energy * eye, 2))
@@ -245,8 +281,7 @@ def dichotomy(chain: BlockChain, energy: complex,
     """
     n, m = chain.n, chain.m
     if params is None:
-        shifted = assemble_open(chain) - complex(energy) * np.eye(n * m)
-        params = demko_params_general(shifted)
+        params = _shifted_params(chain, energy)
     eye = np.eye(m)
     k_const = (m * float(np.linalg.norm(chain.b[n - 1], 2)) * params.c
                * (float(np.linalg.norm(chain.a[0] - energy * eye, 2))

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from blockflow import (check_corner_decay, check_pd_decay, demko_params_general,
+from blockflow import (anderson_strip, assemble_open, check_corner_decay, check_pd_decay, demko_params_general,
                        demko_params_pd, dichotomy, hatano_nelson,
                        t11_singular_floor)
-from blockflow import anderson_strip, assemble_open
+from blockflow.bounds import _shifted_params
 
-from conftest import pd_block_tridiag, random_chain
+from conftest import hermitian_chain, pd_block_tridiag, random_chain
 
 
 def test_pd_params_by_hand():
@@ -133,3 +134,32 @@ def test_corner_decay_uses_open_spectrum():
     near = check_corner_decay(ch, 0.2 + 1.0j)
     assert far.params.q < near.params.q
     assert np.max(np.abs(assemble_open(ch))) < 30.0
+
+
+def _hermitian_case(kind, n, m, seed):
+    if kind == "hatano-nelson":
+        return hatano_nelson(n, -3.5, 3.5, seed)
+    if kind == "anderson-strip":
+        return anderson_strip(n, m, 3.0, seed)
+    return hermitian_chain(n, m, seed)
+
+
+hermitian_cases = st.builds(
+    _hermitian_case, st.sampled_from(["hatano-nelson", "anderson-strip", "explicit"]),
+    st.integers(2, 40), st.integers(1, 3), st.integers(0, 10**6))
+
+#: real and complex energies
+energies = st.builds(complex, st.floats(-4.0, 4.0),
+                     st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_cases, energies)
+def test_band_spectrum_interval_matches_dense_svd(chain, energy):
+    # the band route gives sigma = |lambda - E|; the oracle is the SVD
+    h = assemble_open(chain)
+    s = np.linalg.svd(h - energy * np.eye(h.shape[0]), compute_uv=False)
+    params = _shifted_params(chain, energy)
+    tol = 1e-13 * (np.linalg.norm(h, 2) + abs(energy))
+    assert abs(math.sqrt(params.a) - s[-1]) <= tol
+    assert abs(math.sqrt(params.b) - s[0]) <= tol

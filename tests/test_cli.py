@@ -10,13 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from blockflow.cli import main
 
-from conftest import random_chain
+from blockflow import BlockChain, chain_to_spec
+
+from conftest import hermitian_chain, random_chain
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+TRIDIAG = {"kind": "random-tridiag", "n": 10, "seed": 7, "interval": [-2, 2]}
+#: exactly Hermitian: bounds takes its interval from the band spectrum
+STRIP = {"kind": "anderson-strip", "n": 6, "m": 2, "w": 4.0, "seed": 5}
 
 
 @pytest.fixture
@@ -164,6 +171,40 @@ def test_bounds_computes_the_demko_params_once(tmp_path, capsys, monkeypatch):
     assert main(["bounds", "--config", cfg]) == 0
     capsys.readouterr()
     assert calls == [(48, 48)]
+
+
+def _near_hermitian_model():
+    chain = hermitian_chain(8, 2, seed=84)
+    a = chain.a.copy()
+    a[3, 0, 1] += 1e-14
+    near = BlockChain(a=a, b=chain.b, c=chain.c)
+    assert near.is_hermitian()
+    return chain_to_spec(near).to_dict()
+
+
+@pytest.mark.parametrize("model, dense", [
+    (STRIP, False),
+    ({"kind": "hatano-nelson", "n": 60, "seed": 14, "interval": [-3.5, 3.5]}, False),
+    (chain_to_spec(hermitian_chain(8, 2, seed=84)).to_dict(), False),
+    (TRIDIAG, True),
+    # Hermitian within is_hermitian's 1e-12, but not to the last bit
+    (_near_hermitian_model(), True),
+], ids=["strip", "hatano-nelson", "explicit", "tridiag", "near-hermitian"])
+def test_only_non_hermitian_bounds_take_the_dense_svd(tmp_path, capsys, monkeypatch,
+                                                      model, dense):
+    # an exactly Hermitian h takes its interval from the band spectrum
+    import blockflow.bounds as bounds
+
+    calls = []
+    for name in ("assemble_open", "singular_values"):
+        def counted(*args, _name=name, _original=getattr(bounds, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(bounds, name, counted)
+    cfg = write_config(tmp_path, {"model": model, "energy": [0.4, 0.3]})
+    assert main(["bounds", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert calls == (["assemble_open", "singular_values"] if dense else [])
 
 
 def test_verify_runs_every_identity_past_product_overflow(tmp_path, capsys):
@@ -363,11 +404,15 @@ def test_one_config_drives_all_subcommands(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("energy", ["1e300", "1e100", "1e20"])
-def test_bounds_beyond_double_range_is_named(tridiag_config, capsys, energy):
+@pytest.mark.parametrize("model, energy", [
+    *(pytest.param(TRIDIAG, e, id=e) for e in ("1e300", "1e100", "1e20")),
+    *(pytest.param(STRIP, e, id=f"strip-{e}") for e in ("1e300", "1e100", "1e20")),
+])
+def test_bounds_beyond_double_range_is_named(tmp_path, capsys, model, energy):
     # far from the spectrum sigma^2 of h - E (1e300) or the 2ab of the
     # Demko constant (1e100) overflows, or q rounds to 0 (1e20)
-    rc = main(["bounds", "--config", tridiag_config, "--energy", energy])
+    cfg = write_config(tmp_path, {"model": model, "energy": [0.4, 0.3]})
+    rc = main(["bounds", "--config", cfg, "--energy", energy])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
