@@ -23,8 +23,9 @@ q^{-n/2}/K and m below K q^{n/2} with
 When h is exactly Hermitian (A_k = A_k^dag and C_{k+1} = B_k^dag for
 k < n, bit for bit), h - E is normal, so its singular values are exactly
 |lambda_i(h) - E|.  The interval then comes from the eigenvalues of h by
-LAPACK's Hermitian band solver on the band h already has, O(n m^3) time
-and O(n m^2) memory.  That solver is backward stable, so by Weyl's
+LAPACK's Hermitian band solver on the band h already has: O((nm)^2 m)
+time and O(n m^2) memory, with no dense matrix.  That solver is backward
+stable, so by Weyl's
 theorem each computed lambda is within c eps ||h|| of the exact one: the
 accuracy class of the dense SVD, whose sigma are within c eps ||h - E||.
 Every other chain, including one Hermitian only up to rounding, takes
@@ -41,7 +42,7 @@ import scipy.linalg
 
 from .chains import BlockChain
 from .hamiltonian import assemble_open, open_band
-from .linalg import EigenConvergenceError, as_matrix, report_fields, singular_values
+from .linalg import as_matrix, report_fields, singular_values
 from .resolvent import corner_blocks, transfer_from_resolvent
 from .transfer import stabilized_log_singular_values
 
@@ -111,10 +112,7 @@ def _shifted_params(chain: BlockChain, energy: complex) -> DemkoParams:
     upper = -ab[kl:kl + ku + 1]
     if not upper.imag.any():
         upper = upper.real
-    try:
-        eigs = scipy.linalg.eigvals_banded(upper, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(str(exc)) from exc
+    eigs = scipy.linalg.eigvals_banded(upper, lower=False, check_finite=False)
     dist = np.abs(eigs - energy)
     return _params_from_singular_interval(float(dist.min()), float(dist.max()))
 

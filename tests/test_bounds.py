@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockflow import (anderson_strip, assemble_open, check_corner_decay, check_pd_decay, demko_params_general,
-                       demko_params_pd, dichotomy, hatano_nelson,
-                       t11_singular_floor)
+from blockflow import (anderson_strip, assemble_open, check_corner_decay,
+                       check_pd_decay, demko_params_general, demko_params_pd,
+                       dichotomy, hatano_nelson, t11_singular_floor)
 from blockflow.bounds import _shifted_params
 
 from conftest import hermitian_chain, pd_block_tridiag, random_chain

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockflow.cli import main
-
 from blockflow import BlockChain, chain_to_spec
+from blockflow.cli import main
 
 from conftest import hermitian_chain, random_chain
 
@@ -28,11 +27,7 @@ STRIP = {"kind": "anderson-strip", "n": 6, "m": 2, "w": 4.0, "seed": 5}
 
 @pytest.fixture
 def tridiag_config(tmp_path):
-    return write_config(tmp_path, {
-        "model": {"kind": "random-tridiag", "n": 10, "seed": 7,
-                  "interval": [-2, 2]},
-        "energy": [0.4, 0.3],
-    })
+    return write_config(tmp_path, {"model": TRIDIAG, "energy": [0.4, 0.3]})
 
 
 def test_verify_passes_and_reports(tridiag_config, capsys):
