@@ -217,8 +217,9 @@ def check_corner_decay(chain: BlockChain, energy: complex) -> CornerDecayReport:
     bound_n1 = params.c * (norm_an + norm_cn) * decay
     corner_1n = float(np.max(np.abs(corners.g1n)))
     corner_n1 = float(np.max(np.abs(corners.gn1)))
-    worst = max(corner_1n, corner_n1, 1e-300)
-    measured_rate = math.log(worst) / n
+    worst = max(corner_1n, corner_n1)
+    # log 0 = -inf when both corners underflow to 0
+    measured_rate = math.log(worst) / n if worst > 0 else -math.inf
     bound_rate = 0.5 * math.log(params.q)
     return CornerDecayReport(params=params, n=n,
                              corner_1n=corner_1n, corner_n1=corner_n1,

@@ -31,11 +31,11 @@ import numpy as np
 
 from .bounds import check_corner_decay, dichotomy
 from .chains import BlockChain, ModelSpec, as_integer
-from .duality import (TOL_LOG, SpectralCurve, check_duality, check_open_duality,
-                      check_symmetric_duality, check_transfer_routes,
-                      trace_spectral_curve)
-from .exponents import (exponent_csv, exponent_spectrum, jensen_identity_check,
-                        sum_rule_value)
+from .duality import (PHI_STEPS, TOL_LOG, SpectralCurve, check_duality,
+                      check_open_duality, check_symmetric_duality,
+                      check_transfer_routes, trace_spectral_curve)
+from .exponents import (QUAD_POINTS, exponent_csv, exponent_spectrum,
+                        jensen_identity_check, sum_rule_value)
 from .linalg import EigenConvergenceError
 from .resolvent import CornerSingularError, ResolventSingularError
 from .symmetry import (MIN_IM, check_symplectic, check_unit_circle_exclusion,
@@ -350,7 +350,7 @@ def _cmd_curve(args) -> int:
     if xi is None:
         raise InputError("curve requires --xi (or config 'xi')")
     _require_exp_range(xi, "--xi" if args.xi is not None else "config field 'xi'")
-    phi_steps = _resolve(config, "phi_steps", args.phi_steps, as_integer, 64)
+    phi_steps = _resolve(config, "phi_steps", args.phi_steps, as_integer, PHI_STEPS)
     curve = trace_spectral_curve(chain, xi, phi_steps=phi_steps)
     buf = io.StringIO()
     curve.to_csv(buf)
@@ -393,7 +393,8 @@ def _cmd_exponents(args) -> int:
         "phase_reliable": True,
     }
     if args.jensen_xi is not None:
-        quad = _resolve(config, "quad_points", args.quad_points, as_integer, 256)
+        quad = _resolve(config, "quad_points", args.quad_points, as_integer,
+                        QUAD_POINTS)
         report = jensen_identity_check(spectrum, args.jensen_xi, quad_points=quad)
         doc["jensen"] = report.to_dict()
     _emit(doc, args.json)

@@ -23,13 +23,18 @@ exponent xi and links the eigenvalue trajectories of the balanced ring
 matrix into closed loops; for an exponent separated from the spectrum the
 loops are the level sets |z_k(E)| = e^{n xi} of the duality.  With real
 blocks the spectrum at 2 pi - phi is the conjugate of the one at phi, so
-N angles take N//2 + 1 dense eigensolves; complex blocks take N.
+N angles take N//2 + 1 dense eigensolves; complex blocks take N.  The
+angles are independent: when the eigensolves repay a fork, forked workers
+solve contiguous slices of them on the other usable CPUs, with the same
+matrices and LAPACK calls, so the samples are bitwise those of one loop.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +51,15 @@ TOL_LOG = 1e-7
 TOL_PHASE_PER_SIZE = 1e-6
 #: transfer-routes tolerance on ||T_prod - T_res||_max / ||T_prod||_max
 TOL_ROUTES = 1e-6
+#: default number of flux angles of a spectral curve
+PHI_STEPS = 64
+#: most slices the solved angles of one curve are split into: the caller's
+#: and at most MAX_SLICES - 1 forked workers'
+MAX_SLICES = 4
+#: fewest solved angles times (nm)^3 worth forking for, about 25 ms of
+#: eigensolves against a few ms per fork: a real 96-angle curve at nm = 80
+#: (49 solved) is 2.5e7, a real 16-angle one at nm = 36 (9 solved) 4.2e5
+MIN_FORK_WORK = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -270,6 +284,77 @@ def _link(prev: np.ndarray, curr: np.ndarray, tol: float):
     return perm, ambiguous
 
 
+def _single_threaded() -> bool:
+    """True when this process runs one thread, the one state in which a
+    fork cannot copy a lock some other thread holds."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _slice_count(solved: int, size: int) -> int:
+    """Into how many slices ``solved`` eigensolves of size ``size`` are
+    split: 1, the serial loop, unless the work repays a fork, the platform
+    is Linux (fork, sched_getaffinity, /proc), this process runs one thread
+    and more than one CPU is usable."""
+    if (solved * size ** 3 < MIN_FORK_WORK or not hasattr(os, "sched_getaffinity")
+            or not _single_threaded()):
+        return 1
+    return min(len(os.sched_getaffinity(0)), MAX_SLICES, solved)
+
+
+def _fork_worker(solve, rows: range, out: np.ndarray) -> tuple[int, int] | None:
+    """Fork a worker that runs ``solve(rows)`` and writes the bytes of
+    ``out[rows]`` to a pipe: (pid, read end), or None if no pipe or process
+    could be made.  The worker never returns into the caller's code."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            solve(rows)
+            with open(write_fd, "wb") as fh:
+                fh.write(out[rows.start:rows.stop].tobytes())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _collect(worker: tuple[int, int], rows: range, out: np.ndarray) -> bool:
+    """Read a worker's rows into ``out`` and reap it; False when it failed
+    or sent other than the rows' bytes, and ``out[rows]`` is left as it was."""
+    pid, read_fd = worker
+    try:
+        with open(read_fd, "rb") as fh:
+            data = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    block = out[rows.start:rows.stop]
+    if status != 0 or len(data) != block.nbytes:
+        return False
+    block[...] = np.frombuffer(data, dtype=block.dtype).reshape(block.shape)
+    return True
+
+
+def _stop(worker: tuple[int, int]) -> None:
+    """Kill a worker whose rows are no longer wanted and reap it."""
+    pid, read_fd = worker
+    os.kill(pid, signal.SIGKILL)
+    os.close(read_fd)
+    os.waitpid(pid, 0)
+
+
 def _ring_spectra(chain: BlockChain, xi: float, phis: np.ndarray) -> np.ndarray:
     """Eigenvalues of the balanced ring at w = exp(xi + i phi / n), one row
     per angle of phis = 2 pi j / N, j = 0..N-1, in LAPACK's order.
@@ -278,20 +363,44 @@ def _ring_spectra(chain: BlockChain, xi: float, phis: np.ndarray) -> np.ndarray:
     invariant under w -> w exp(2 pi i / n), so the spectrum at phi_{N-j}
     is the conjugate of the one at phi_j: only j = 0..N//2 are solved.
     Complex blocks take one eigensolve per angle.
+
+    The solved angles are split into _slice_count contiguous slices; this
+    process solves the first and a forked worker each other one.  A worker
+    that fails, dies or cannot be forked has its slice solved here, so
+    errors are those of the serial loop, and no worker outlives the call.
     """
     steps = len(phis)
     real = not any(np.any(blocks.imag) for blocks in (chain.a, chain.b, chain.c))
     solved = steps // 2 + 1 if real else steps
     spectra = np.empty((steps, chain.n * chain.m), dtype=complex)
-    for j in range(solved):
-        w = cmath.exp(complex(xi, phis[j] / chain.n))
-        spectra[j] = np.linalg.eigvals(assemble_balanced(chain, w))
+
+    def solve(rows: range) -> None:
+        for j in rows:
+            w = cmath.exp(complex(xi, phis[j] / chain.n))
+            spectra[j] = np.linalg.eigvals(assemble_balanced(chain, w))
+
+    count = _slice_count(solved, chain.n * chain.m)
+    slices = [range(solved * k // count, solved * (k + 1) // count)
+              for k in range(count)]
+    workers = []
+    try:
+        for rows in slices[1:]:
+            workers.append((rows, _fork_worker(solve, rows, spectra)))
+        solve(slices[0])
+        while workers:
+            rows, worker = workers.pop(0)
+            if worker is None or not _collect(worker, rows, spectra):
+                solve(rows)
+    finally:
+        for _, worker in workers:
+            if worker is not None:
+                _stop(worker)
     spectra[solved:] = spectra[steps - np.arange(solved, steps)].conj()
     return spectra
 
 
 def trace_spectral_curve(chain: BlockChain, xi: float,
-                         phi_steps: int = 64) -> SpectralCurve:
+                         phi_steps: int = PHI_STEPS) -> SpectralCurve:
     """Sweep phi over [0, 2 pi) at fixed xi and link the eigenvalues.
 
     Eigenvalues of the balanced matrix at w = exp(xi + i phi / n) are

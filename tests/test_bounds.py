@@ -82,9 +82,14 @@ def test_corner_decay_bound_holds():
 
 
 def test_corner_decay_rate_tracks_q():
-    ch = random_chain(32, 2, seed=76)
-    rep = check_corner_decay(ch, 0.3 + 1.5j)
-    assert rep.measured_rate <= rep.bound_rate + 0.05
+    # at 3000 sites both corners underflow to 0: the rate is log 0 = -inf,
+    # not a figure of a clamp
+    for chain, energy in [(random_chain(32, 2, seed=76), 0.3 + 1.5j),
+                          (hatano_nelson(3000, -3.5, 3.5, seed=7), 0.4 + 0.3j)]:
+        rep = check_corner_decay(chain, energy)
+        assert rep.measured_rate <= rep.bound_rate + 0.05
+        worst = max(rep.corner_1n, rep.corner_n1)
+        assert rep.measured_rate == (math.log(worst) / rep.n if worst else -math.inf)
 
 
 def test_dichotomy_split_for_long_chains():

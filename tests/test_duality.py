@@ -1,6 +1,9 @@
 import cmath
 import io
+import json
 import math
+import os
+import signal
 from unittest import mock
 
 import numpy as np
@@ -307,3 +310,136 @@ def test_link_falls_back_to_greedy_matching(monkeypatch, prev, curr):
 def test_curve_rejects_too_few_steps():
     with pytest.raises(ValueError):
         trace_spectral_curve(clean_chain(4), xi=0.5, phi_steps=4)
+
+
+# ---------------------------------------------------------------------------
+# forked ring eigensolves
+
+_FORK = os.fork
+
+
+def _route(monkeypatch, cpus, min_work=None):
+    """Make the slice gate see ``cpus`` usable CPUs and one thread (and,
+    with ``min_work``, that fork threshold); returns the list of worker
+    pids the curve forks."""
+    import blockflow.duality as duality
+
+    forks = []
+
+    def counted():
+        pid = _FORK()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(duality, "_single_threaded", lambda: True)
+    if min_work is not None:
+        monkeypatch.setattr(duality, "MIN_FORK_WORK", min_work)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("phi_steps", [13, 16])
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_forked_and_serial_curves_are_bitwise_equal(monkeypatch, complex_entries,
+                                                    phi_steps):
+    chain = random_chain(6, 2, seed=31, complex_entries=complex_entries)
+    forks = _route(monkeypatch, cpus=2, min_work=0)
+    forked = trace_spectral_curve(chain, 0.3, phi_steps)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    forks = _route(monkeypatch, cpus=1)
+    serial = trace_spectral_curve(chain, 0.3, phi_steps)
+    assert forks == []
+    assert forked.samples.tobytes() == serial.samples.tobytes()
+    assert np.array_equal(forked.loop_id, serial.loop_id)
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits", "killed", "unforkable"])
+def test_failed_worker_leaves_the_serial_result(monkeypatch, failure):
+    # the worker of the second slice fails before sending its rows, or
+    # cannot be forked at all; the caller solves that slice itself
+    import blockflow.duality as duality
+
+    chain = random_chain(6, 2, seed=32)
+    serial = trace_spectral_curve(chain, 0.3, 16)
+    caller = os.getpid()
+    assemble = duality.assemble_balanced
+
+    def failing(chain, w):
+        if os.getpid() != caller:
+            if failure == "raises":
+                raise RuntimeError("worker failed")
+            if failure == "exits":
+                os._exit(0)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return assemble(chain, w)
+
+    def unforkable():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(duality, "assemble_balanced", failing)
+    forks = _route(monkeypatch, cpus=2, min_work=0)
+    if failure == "unforkable":
+        monkeypatch.setattr(os, "fork", unforkable)
+    got = trace_spectral_curve(chain, 0.3, 16)
+    assert len(forks) == (failure != "unforkable")
+    _assert_no_child_left()
+    assert got.samples.tobytes() == serial.samples.tobytes()
+
+
+@pytest.mark.parametrize("bad_row", [1, 6], ids=["caller-slice", "worker-slice"])
+def test_failed_eigensolve_keeps_the_serial_exit_code(tmp_path, capsys, monkeypatch,
+                                                      bad_row):
+    # one angle's eigensolve fails wherever it runs: the forked route exits
+    # with the serial route's code and message, and leaves no worker behind
+    import blockflow.duality as duality
+    from blockflow.cli import main
+
+    model = {"kind": "random-tridiag", "n": 12, "seed": 7, "interval": [-2, 2]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model}))
+    bad_w = cmath.exp(complex(0.3, 2 * math.pi * bad_row / 16 / 12))
+    assemble = duality.assemble_balanced
+
+    def failing(chain, w):
+        if w == bad_w:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return assemble(chain, w)
+
+    monkeypatch.setattr(duality, "assemble_balanced", failing)
+    argv = ["curve", "--config", str(cfg), "--xi", "0.3", "--phi-steps", "16"]
+    outcomes = []
+    for cpus in (1, 2):
+        forks = _route(monkeypatch, cpus=cpus, min_work=0)
+        code = main(argv)
+        outcomes.append((code, capsys.readouterr()))
+        assert len(forks) == cpus - 1
+        _assert_no_child_left()
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 2
+    assert outcomes[0][1].out == ""
+    assert outcomes[0][1].err == "error: Eigenvalues did not converge\n"
+
+
+def test_short_curves_never_fork(monkeypatch):
+    # the largest short-corpus curves, nm = 36 at 16 angles, stay in one
+    # process even on two CPUs; a 96-angle curve at nm = 80 forks
+    def no_fork():
+        raise AssertionError("a short curve forked")
+
+    forks = _route(monkeypatch, cpus=2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    for complex_entries in (False, True):
+        trace_spectral_curve(random_chain(12, 3, seed=33, complex_entries=complex_entries),
+                             0.3, 16)
+    forks = _route(monkeypatch, cpus=2)
+    trace_spectral_curve(hatano_nelson(80, -3.5, 3.5, seed=34), 0.0933, 96)
+    assert len(forks) == 1
+    _assert_no_child_left()
