@@ -405,7 +405,8 @@ def test_failed_eigensolve_keeps_the_serial_exit_code(tmp_path, capsys, monkeypa
     model = {"kind": "random-tridiag", "n": 12, "seed": 7, "interval": [-2, 2]}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": model}))
-    bad_w = cmath.exp(complex(0.3, 2 * math.pi * bad_row / 16 / 12))
+    phis = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+    bad_w = cmath.exp(complex(0.3, phis[bad_row] / 12))
     assemble = duality.assemble_balanced
 
     def failing(chain, w):
